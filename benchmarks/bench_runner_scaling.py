@@ -12,8 +12,7 @@ is timed under every execution architecture:
 * ``warm_pool`` — one :class:`WorkerPool` reused across campaigns with
   auto-batched dispatch, at ``jobs=2`` and ``jobs=4`` (spawn cost paid
   once, outside the timed region, which is how real campaign sessions
-  amortize it);
-* ``threads`` — the thread pool (``--pool threads``) at ``jobs=2``.
+  amortize it).
 
 CPU counts are recorded honestly: ``cpu_count`` is the machine's, and
 ``cpus_available`` is what this process may actually use
@@ -42,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import BenchmarkSpec, WorkerPool, run_suite
-from repro.core.executor import run_suite_parallel, run_suite_threads
+from repro.core.executor import run_suite_parallel
 from repro.core.runner import build_case
 from repro.frameworks import Mode, get
 from repro.graphs import GraphCache
@@ -119,15 +118,6 @@ def _campaign_walls(cache: GraphCache) -> dict[str, float]:
                     frameworks, GRAPHS, spec=SPEC, jobs=jobs, pool=pool, **common
                 )
             )
-
-    threads_spec = BenchmarkSpec(
-        scale=BENCH_SCALE, trials={k: TRIALS for k in KERNELS_USED}, pool="threads"
-    )
-    walls["threads_jobs2"] = _time_repeats(
-        lambda: run_suite_threads(
-            frameworks, GRAPHS, spec=threads_spec, jobs=2, **common
-        )
-    )
     return walls
 
 
@@ -230,7 +220,6 @@ def main() -> None:
             # The gate key: warm-pool jobs=2, the architecture under test.
             "jobs=2": round(serial / walls["warm_pool_jobs2"], 3),
             "jobs=4": round(serial / walls["warm_pool_jobs4"], 3),
-            "threads_jobs=2": round(serial / walls["threads_jobs2"], 3),
             "cold_spawn_jobs=2": round(serial / walls["cold_spawn_jobs2"], 3),
         },
         "warm_pool_vs_cold_spawn": {

@@ -6,7 +6,7 @@ Subcommands::
                         [--frameworks f,g] [--modes baseline,optimized]
                         [--out results.json] [--strict] [--timeout S]
                         [--trace trace.jsonl] [--track-memory]
-                        [--jobs N] [--pool process|threads] [--batch-size N]
+                        [--jobs N] [--batch-size N]
                         [--cache-dir DIR] [--no-cache]
                         [--journal PATH] [--resume] [--retries N]
                         [--breaker-threshold K]
@@ -212,7 +212,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             scale=args.scale,
             trial_timeout=args.timeout,
             jobs=args.jobs,
-            pool=args.pool,
             batch_size=args.batch_size,
             retries=args.retries,
             breaker_threshold=args.breaker_threshold,
@@ -754,15 +753,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for the campaign (default 1 = serial); with "
         "N>1 cells run in a process pool over a shared-memory corpus and "
         "--timeout becomes a hard per-cell kill",
-    )
-    run_parser.add_argument(
-        "--pool",
-        choices=("process", "threads"),
-        default="process",
-        help="worker pool flavor for --jobs N>1: 'process' (isolated warm "
-        "workers over a shared-memory corpus; hard kills on --timeout) or "
-        "'threads' (threads sharing this process's graphs; cheapest "
-        "dispatch for GIL-releasing NumPy kernels, soft deadlines)",
     )
     run_parser.add_argument(
         "--batch-size",

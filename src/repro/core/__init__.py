@@ -9,16 +9,15 @@ Submodules:
 * ``telemetry`` — span tracing, JSONL sinks, per-trial deadlines.
 * ``runner`` — executes kernels under the Baseline/Optimized rule sets.
 * ``executor`` / ``pool`` / ``batching`` / ``sharedmem`` — parallel
-  campaign execution: warm process pools over a shared-memory corpus
-  (hard per-cell deadlines) or thread pools sharing the parent's
-  corpus, with batched multi-cell dispatch.
+  campaign execution: warm process pools over a shared-memory corpus,
+  with hard per-cell deadlines and batched multi-cell dispatch.
 * ``results`` / ``tables`` — result records and Table I–V renderers.
 """
 
 from . import counters
 from .batching import Cell, plan_batches
 from .bitmap import Bitmap
-from .executor import run_suite_parallel, run_suite_threads
+from .executor import run_suite_parallel
 from .pool import WorkerPool
 from .results import ResultSet, RunResult
 from .runner import GraphCase, build_case, run_cell, run_suite
@@ -50,7 +49,6 @@ __all__ = [
     "run_cell",
     "run_suite",
     "run_suite_parallel",
-    "run_suite_threads",
     "scale_sweep",
     "sparkline",
     "trace_bfs",

@@ -50,9 +50,11 @@ class WorkCounters:
         self.extras[key] = self.extras.get(key, 0.0) + value
 
 
-# The active stack is thread-local: the thread-pool executor runs cells
-# on concurrent threads, and each trial's counters must accumulate into
-# that trial's set only — a shared stack would interleave them.
+# The active stack is thread-local: kernels may run on more than one
+# thread of a process (the service's engine thread runs crash-loop
+# fallbacks while callers run their own), and each trial's counters must
+# accumulate into that trial's set only — a shared stack would
+# interleave them.
 _local = threading.local()
 
 

@@ -1,32 +1,23 @@
-"""Parallel campaign executors: warm process pools and thread pools.
+"""Parallel campaign executor: a warm process pool over shared memory.
 
 ``run_suite`` executes the paper's 6×6×5×2 campaign serially in one
 process; at that point campaign wall time, not kernel time, bounds how
-fast the reproduction can iterate.  This module shards the independent
-(framework, kernel, graph, mode) cells across a pool of workers.  Two
-pool flavors share one scheduling core:
-
-* ``run_suite_parallel`` — **process pool** (:class:`~repro.core.pool.
-  WorkerPool`).  Workers are *warm*: spawned once per pool, reusable
-  across campaigns via a pool handle, configured per campaign by
-  message, attaching the shared-memory corpus lazily
-  (:mod:`repro.core.sharedmem`) and unpickling frameworks on first use.
-  Process isolation turns ``BenchmarkSpec.trial_timeout`` into a
-  **hard** deadline: a worker stuck inside one long C call is killed by
-  the parent once its cell exceeds its trial budgets, the cell is
-  recorded as a ``timeout`` result, and a respawned worker keeps the
-  campaign going.
-* ``run_suite_threads`` — **thread pool** (``spec.pool == "threads"``).
-  Worker threads share the parent's address space, so the corpus is
-  never published, pickled, or attached at all — the cheapest possible
-  dispatch for GIL-releasing NumPy kernels.  The trade is isolation:
-  threads cannot be killed, so deadlines degrade to the serial soft
-  semantics (post-hoc detection off the main thread) and an injected
-  process crash takes the whole campaign with it.
+fast the reproduction can iterate.  ``run_suite_parallel`` shards the
+independent (framework, kernel, graph, mode) cells across a
+:class:`~repro.core.pool.WorkerPool`.  Workers are *warm*: spawned once
+per pool, reusable across campaigns via a pool handle, configured per
+campaign by message, attaching the shared-memory corpus lazily
+(:mod:`repro.core.sharedmem`) and unpickling frameworks on first use.
+Each worker reports over its own pipe, so a killed worker can lose only
+its own channel.  Process isolation turns ``BenchmarkSpec.trial_timeout``
+into a **hard** deadline: a worker stuck inside one long C call is
+killed by the parent once its cell exceeds its trial budgets, the cell
+is recorded as a ``timeout`` result, and a respawned worker keeps the
+campaign going.
 
 Dispatch is **batched** (:mod:`repro.core.batching`): the parent hands a
 worker a contiguous run of cells per message, sized by a trial-count
-cost model, so queue/pickle/wakeup overhead is paid per batch while
+cost model, so pipe/pickle/wakeup overhead is paid per batch while
 everything observable stays per-cell — workers echo ``start`` and
 ``cell`` messages per member, telemetry spans are per cell, the journal
 records cells individually, and retry/breaker decisions act on cells.
@@ -37,14 +28,14 @@ Every cell still runs the exact serial measurement protocol
 (:func:`~repro.core.runner.run_cell`): sources, counters, verification,
 and statuses are identical to ``jobs=1`` — only wall-clock parallelism
 and the kill guarantee differ.  ``tests/test_executor_matrix.py`` pins
-that equivalence across serial, per-cell process, batched process, and
-thread execution.
+that equivalence across serial, per-cell, and batched execution.
 
 Dispatch is **parent-driven**: instead of pre-queuing the whole
 campaign, the parent hands out one batch per free worker slot and keeps
 its own record of every assignment.  That is what lets the resilience
 layer act mid-campaign: a worker that dies mid-batch loses only the
-in-flight cell (the rest of its batch is re-dispatched), a transiently
+in-flight cell (cells it reported before dying are read back from its
+channel; the rest of its batch is re-dispatched), a transiently
 failed cell re-enters the queue after its deterministic backoff, a cell
 whose worker died twice falls back to in-parent execution, an open
 circuit breaker prunes its combo's cells out of still-queued batches as
@@ -60,8 +51,6 @@ like any generated graph — workers never touch the filesystem.
 
 from __future__ import annotations
 
-import queue as queue_mod
-import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -84,7 +73,6 @@ if TYPE_CHECKING:  # layering: the journal lives above repro.core
 
 __all__ = [
     "run_suite_parallel",
-    "run_suite_threads",
     "DEFAULT_KILL_GRACE_SECONDS",
 ]
 
@@ -145,9 +133,9 @@ def _killed_cell_span(cell: Cell, status: str, message: str, wall: float) -> Spa
 
 
 class _CampaignState:
-    """Per-cell accounting shared by the process- and thread-pool paths.
+    """Per-cell accounting of one parallel campaign.
 
-    Owns the pieces that must behave identically regardless of transport:
+    Owns everything that is independent of the worker transport:
     canonical result assembly, the pending batch queue, retry scheduling,
     circuit-breaker skips (including pruning queued batches), journal
     appends, and strict-mode fail-fast.
@@ -183,9 +171,6 @@ class _CampaignState:
         self.pending: deque[list[tuple[Cell, int]]] = deque()
         #: Retries waiting out their backoff: (ready_at, cell, attempt).
         self.retry_waiting: list[tuple[float, Cell, int]] = []
-        #: (index, attempt) pairs already settled, so a kill racing a late
-        #: "cell" message for the same attempt cannot account a cell twice.
-        self.accounted: set[tuple[int, int]] = set()
 
     @property
     def total(self) -> int:
@@ -422,6 +407,32 @@ def run_suite_parallel(
         state.settle(cell, result, attempt)
         return time.monotonic() - begun
 
+    def handle(message: tuple) -> None:
+        """Account one worker message against its slot's assignment."""
+        kind, slot, index, attempt = message[:4]
+        if kind == "start":
+            # The assignment is already recorded (dispatch did it); the
+            # echo just restarts the deadline clock so pipe latency and
+            # batch predecessors never eat into a cell's kill budget.
+            now = time.monotonic()
+            started[slot] = now
+            if spec.trial_timeout is not None:
+                deadline[slot] = now + _cell_budget(
+                    spec, cells[index].kernel, kill_grace
+                )
+            if progress is not None:
+                progress(cells[index].label)
+            return
+        result, span_records = message[4:]
+        batch = assigned[slot]
+        batch.popleft()
+        now = time.monotonic()
+        started[slot] = now
+        deadline[slot] = batch_deadline(batch, now) if batch else None
+        for record in span_records:
+            tel.ingest(Span.from_dict(record))
+        state.settle(cells[index], result, attempt)
+
     try:
         # Build the still-needed corpus once (cache-aware) and publish it.
         for graph_name in needed_graphs:
@@ -444,60 +455,22 @@ def run_suite_parallel(
         dispatch()
 
         while not state.done:
-            # Drain every queued message before supervising deadlines, so
-            # a "cell" that arrived while the parent was busy (e.g. an
+            # Handle every readable message before supervising deadlines,
+            # so a "cell" that arrived while the parent was busy (e.g. an
             # in-parent fallback run) is never mistaken for an overrun.
-            messages = []
-            message = pool.get(timeout=_POLL_SECONDS)
-            if message is not None:
-                messages.append(message)
-                while True:
-                    message = pool.get_nowait()
-                    if message is None:
-                        break
-                    messages.append(message)
-
-            for message in messages:
-                kind = message[0]
-                if kind == "start":
-                    # The assignment is already recorded (dispatch did it);
-                    # the echo just restarts the deadline clock so queue
-                    # latency and batch predecessors never eat into a
-                    # cell's kill budget.
-                    _, slot, index, attempt = message
-                    batch = assigned.get(slot)
-                    if batch and batch[0][0].index == index:
-                        now = time.monotonic()
-                        started[slot] = now
-                        if spec.trial_timeout is not None:
-                            deadline[slot] = now + _cell_budget(
-                                spec, cells[index].kernel, kill_grace
-                            )
-                    if progress is not None:
-                        progress(cells[index].label)
-                elif kind == "cell":
-                    _, slot, index, attempt, result, span_records = message
-                    batch = assigned.get(slot)
-                    if batch and batch[0][0].index == index:
-                        batch.popleft()
-                        now = time.monotonic()
-                        started[slot] = now
-                        deadline[slot] = (
-                            batch_deadline(batch, now) if batch else None
-                        )
-                    if (index, attempt) in state.accounted:
-                        # Raced with a hard kill that already accounted it.
-                        continue
-                    state.accounted.add((index, attempt))
-                    for record in span_records:
-                        tel.ingest(Span.from_dict(record))
-                    state.settle(cells[index], result, attempt)
-                # "exit" messages only occur during shutdown; ignore here.
+            for message in pool.receive(timeout=_POLL_SECONDS):
+                handle(message)
 
             now = time.monotonic()
             for slot in list(assigned):
                 batch = assigned[slot]
                 alive = pool.is_alive(slot)
+                if not alive and batch:
+                    # Whatever the worker reported before it died is still
+                    # buffered in its channel: settle that first, so only
+                    # the cell it was actually running is lost.
+                    for message in pool.drain(slot):
+                        handle(message)
                 if not batch:
                     # A worker that died while idle is replaced so dispatch
                     # keeps flowing.
@@ -507,8 +480,7 @@ def run_suite_parallel(
                 overdue = deadline[slot] is not None and now > deadline[slot]
                 if not overdue and alive:
                     continue
-                died = not alive
-                if overdue and alive:
+                if alive:
                     status = STATUS_TIMEOUT
                     cell = batch[0][0]
                     message_text = (
@@ -532,27 +504,28 @@ def run_suite_parallel(
                 deadline[slot] = None
                 if tail:
                     state.pending.appendleft(tail)
-                if (head_cell.index, head_attempt) not in state.accounted:
-                    state.accounted.add((head_cell.index, head_attempt))
-                    if died:
-                        deaths[head_cell.index] = deaths.get(head_cell.index, 0) + 1
-                    lost = RunResult(
-                        framework=head_cell.framework,
-                        kernel=head_cell.kernel,
-                        graph=head_cell.graph,
-                        mode=head_cell.mode,
-                        trial_seconds=[],
-                        verified=False,
-                        status=status,
-                        error=message_text,
+                if not alive:
+                    deaths[head_cell.index] = deaths.get(head_cell.index, 0) + 1
+                lost = RunResult(
+                    framework=head_cell.framework,
+                    kernel=head_cell.kernel,
+                    graph=head_cell.graph,
+                    mode=head_cell.mode,
+                    trial_seconds=[],
+                    verified=False,
+                    status=status,
+                    error=message_text,
+                )
+                tel.ingest(
+                    _killed_cell_span(
+                        head_cell, status, message_text, now - started[slot]
                     )
-                    tel.ingest(
-                        _killed_cell_span(
-                            head_cell, status, message_text, now - started[slot]
-                        )
-                    )
-                    state.settle(head_cell, lost, head_attempt)
-                if not state.done:
+                )
+                state.settle(head_cell, lost, head_attempt)
+                # Respawning kills an overdue worker and closes its channel,
+                # so a result it might still send can never be counted —
+                # even when this was the campaign's last cell.
+                if alive or not state.done:
                     pool.respawn(slot)
 
             # Release retries whose deterministic backoff has elapsed.
@@ -574,174 +547,10 @@ def run_suite_parallel(
                 pool.shutdown()
         elif pool is not None and (not clean_exit or any(assigned.values())):
             # The caller's warm pool survives an aborted campaign, but its
-            # workers may be mid-cell: replace them so the next campaign
-            # starts clean (stale messages are stamp-filtered).
+            # workers may be mid-cell: replace them (and their channels)
+            # so the next campaign starts clean.
             pool.reset()
         for shared_case in shared.values():
             shared_case.close(unlink=True)
-
-    return state.result_set()
-
-
-def _thread_worker(
-    slot: int,
-    tasks: "queue_mod.Queue",
-    results: "queue_mod.Queue",
-    spec: BenchmarkSpec,
-    cases: Mapping[str, object],
-    frameworks: Mapping[str, Framework],
-    track_memory: bool,
-) -> None:
-    """Thread-pool worker loop: drain batches until the sentinel.
-
-    Runs off the main thread, so per-trial deadlines degrade to the soft
-    post-hoc check (see :class:`~repro.core.telemetry.TrialDeadline`) —
-    an over-budget trial is still recorded as a timeout, it just cannot
-    be interrupted mid-flight.
-    """
-    telemetry = Telemetry(track_memory=track_memory)
-    while True:
-        batch = tasks.get()
-        if batch is None:
-            return
-        for cell, attempt in batch:
-            results.put(("start", slot, cell.index, attempt))
-            framework = frameworks[cell.framework]
-            case = cases[cell.graph]
-            try:
-                result = run_cell(
-                    framework, cell.kernel, case, cell.mode, spec,
-                    telemetry=telemetry, attempt=attempt,
-                )
-            except TrialTimeoutError as exc:
-                result = _failed_result(
-                    framework, cell.kernel, case, cell.mode, "timeout", exc
-                )
-            except Exception as exc:
-                result = _failed_result(
-                    framework, cell.kernel, case, cell.mode, "error", exc
-                )
-            spans = [span.as_dict() for span in telemetry.spans]
-            telemetry.spans.clear()
-            results.put(("cell", slot, cell.index, attempt, result, spans))
-        results.put(("idle", slot))
-
-
-def run_suite_threads(
-    frameworks: Iterable[Framework],
-    graph_names: Iterable[str],
-    kernels: Iterable[str] = KERNELS,
-    modes: Iterable[Mode] = (Mode.BASELINE, Mode.OPTIMIZED),
-    spec: BenchmarkSpec | None = None,
-    jobs: int = 2,
-    progress: Callable[[str], None] | None = None,
-    telemetry: Telemetry | None = None,
-    strict: bool = False,
-    cache: GraphCache | None = None,
-    journal: "CheckpointJournal | None" = None,
-    completed: Mapping[tuple[str, str, str, str], RunResult] | None = None,
-    on_result: Callable[[Cell, RunResult], None] | None = None,
-) -> ResultSet:
-    """Run a campaign over a pool of worker *threads* (``--pool threads``).
-
-    The corpus lives once in this process and is shared by reference —
-    no shared-memory publication, no pickling, no process spawn.  Python
-    kernels that release the GIL inside NumPy overlap on multiple cores;
-    pure-bytecode kernels serialize on the GIL but still benefit from the
-    near-zero dispatch cost.  Resilience semantics match the process pool
-    except where isolation is physically required: threads cannot be
-    hard-killed (deadlines are soft, crash-loop fallback never triggers)
-    and an injected process crash is fatal to the whole campaign.
-    """
-    spec = spec or BenchmarkSpec()
-    tel = telemetry if telemetry is not None else Telemetry()
-    framework_list = list(frameworks)
-    frameworks_by_name = {fw.name: fw for fw in framework_list}
-    cells = _enumerate_cells(
-        framework_list, list(graph_names), list(modes), list(kernels)
-    )
-    if not cells:
-        return ResultSet()
-
-    state = _CampaignState(cells, spec, tel, journal, strict, completed, on_result)
-    if state.done:
-        return state.result_set()
-    runnable = state.runnable()
-    needed_graphs = {cell.graph for cell in runnable}
-    jobs = max(1, min(int(jobs), len(runnable)))
-    state.queue_batches(plan_batches(runnable, spec, jobs, spec.batch_size))
-
-    # The corpus is built once and shared by reference: the GraphCase
-    # arrays are read-only by convention and every kernel allocates its
-    # own outputs, exactly as in the serial path.
-    cases = {
-        name: build_case(name, spec, cache, telemetry=tel)
-        for name in needed_graphs
-    }
-
-    results_q: "queue_mod.Queue" = queue_mod.Queue()
-    task_queues = {slot: queue_mod.Queue() for slot in range(jobs)}
-    busy = {slot: False for slot in range(jobs)}
-    threads = [
-        threading.Thread(
-            target=_thread_worker,
-            args=(
-                slot,
-                task_queues[slot],
-                results_q,
-                spec,
-                cases,
-                frameworks_by_name,
-                tel.track_memory,
-            ),
-            daemon=True,
-        )
-        for slot in range(jobs)
-    ]
-    for thread in threads:
-        thread.start()
-
-    def dispatch() -> None:
-        for slot in busy:
-            if busy[slot]:
-                continue
-            batch = state.next_batch()
-            if batch is None:
-                return
-            busy[slot] = True
-            task_queues[slot].put(batch)
-
-    try:
-        dispatch()
-        while not state.done:
-            try:
-                message = results_q.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
-                kind = message[0]
-                if kind == "start":
-                    if progress is not None:
-                        progress(cells[message[2]].label)
-                elif kind == "cell":
-                    _, slot, index, attempt, result, span_records = message
-                    state.accounted.add((index, attempt))
-                    for record in span_records:
-                        tel.ingest(Span.from_dict(record))
-                    state.settle(cells[index], result, attempt)
-                elif kind == "idle":
-                    busy[message[1]] = False
-
-            for cell, attempt in state.due_retries(time.monotonic()):
-                state.pending.append([(cell, attempt)])
-            dispatch()
-    finally:
-        for slot in task_queues:
-            task_queues[slot].put(None)
-        for thread in threads:
-            # Busy threads finish their current batch first; they are
-            # daemons, so an abandoned (strict-abort) campaign never
-            # blocks interpreter exit on them.
-            thread.join(timeout=5.0)
 
     return state.result_set()

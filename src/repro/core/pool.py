@@ -24,12 +24,14 @@ long-lived object:
   wakeup per batch.  Workers still report ``start`` / ``cell`` per
   member, so supervision, telemetry, retries, and the journal all stay
   per-cell.
+* **One channel per worker** — each slot talks to the parent over its
+  own pipe, and the parent waits on all of them at once.  Killing a
+  worker can lose only that worker's channel; a respawned worker gets a
+  fresh one, so no message can outlive the worker that wrote it.
 
 The pool is transport only: scheduling policy (deadlines, retries,
 breakers, crash accounting) lives in :mod:`repro.core.executor`, which
-owns the bookkeeping of what each slot was assigned.  Messages carry a
-campaign sequence number; anything from a previous campaign (e.g. after
-an abort on a reused pool) is dropped at :meth:`WorkerPool.get`.
+owns the bookkeeping of what each slot was assigned.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import signal
-import time
+from multiprocessing import connection
 from typing import TYPE_CHECKING, Mapping
 
 from .results import RunResult
@@ -97,42 +99,44 @@ def _infra_failed_result(cell: "Cell", exc: BaseException) -> RunResult:
     )
 
 
-def _worker_main(slot: int, tasks, results) -> None:
+def _worker_main(slot: int, conn, parent_end) -> None:
     """Warm-worker loop: configure per campaign, drain batches until sentinel.
 
-    Runs on the worker's main thread, so ``run_cell``'s in-process SIGALRM
-    deadline is armed and catches interruptible overruns without costing a
-    process kill; the parent's hard kill is the backstop for the rest.
+    ``conn`` is this worker's end of its private pipe: tasks arrive on it
+    and ``start`` / ``cell`` reports leave on it.  ``parent_end`` is the
+    pool's end, which the worker inherits and closes at once so that
+    ``recv`` sees EOF, and the worker exits, if the parent dies.  Runs on
+    the worker's main thread, so ``run_cell``'s in-process SIGALRM
+    deadline is armed and catches interruptible overruns without costing
+    a process kill; the parent's hard kill is the backstop for the rest.
     """
+    parent_end.close()
     if hasattr(signal, "SIGTERM"):
         # Undo any graceful_shutdown handler inherited over fork: a worker
         # the parent terminates should just die, not raise CampaignAborted.
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     spec: BenchmarkSpec | None = None
-    seq = -1
     corpus: _LazyCorpus | None = None
     frameworks: _LazyFrameworks | None = None
     telemetry = Telemetry()
     try:
         while True:
-            task = tasks.get()
-            if task is None:
-                results.put(("exit", slot))
+            try:
+                task = conn.recv()
+            except EOFError:  # the parent is gone
                 return
-            kind = task[0]
-            if kind == "campaign":
-                _, seq, spec, handles, blobs, track_memory = task
+            if task is None:
+                return
+            if task[0] == "campaign":
+                _, spec, handles, blobs, track_memory = task
                 if corpus is not None:
                     corpus.close()
                 corpus = _LazyCorpus(handles)
                 frameworks = _LazyFrameworks(blobs)
                 telemetry = Telemetry(track_memory=track_memory)
                 continue
-            _, task_seq, items = task
-            if task_seq != seq:  # batch from a campaign that was reset
-                continue
-            for cell, attempt in items:
-                results.put(("start", slot, seq, cell.index, attempt))
+            for cell, attempt in task[1]:
+                conn.send(("start", slot, cell.index, attempt))
                 try:
                     case = corpus.get(cell.graph)
                     framework = frameworks.get(cell.framework)
@@ -156,21 +160,30 @@ def _worker_main(slot: int, tasks, results) -> None:
                         )
                 spans = [span.as_dict() for span in telemetry.spans]
                 telemetry.spans.clear()
-                results.put(("cell", slot, seq, cell.index, attempt, result, spans))
+                conn.send(("cell", slot, cell.index, attempt, result, spans))
     finally:
         if corpus is not None:
             corpus.close()
+        conn.close()
 
 
 class WorkerPool:
     """A pool of warm worker processes, reusable across campaigns.
 
     Construction spawns the workers; :meth:`begin_campaign` (re)configures
-    them for one campaign and returns a sequence number that stamps all of
-    that campaign's messages.  The executor drives slots explicitly:
-    :meth:`submit` hands one batch to one slot, :meth:`get` yields worker
-    messages, :meth:`respawn` replaces a dead or killed worker (the
+    them for one campaign.  The executor drives slots explicitly:
+    :meth:`submit` hands one batch to one slot, :meth:`receive` collects
+    worker messages, :meth:`drain` reads what a dead slot left in its
+    channel, and :meth:`respawn` replaces a dead or killed worker (the
     replacement is configured for the current campaign automatically).
+
+    Each slot owns a private duplex pipe, created with its worker and
+    closed when the worker is replaced.  A worker killed at any instant
+    (even mid-``send``) can therefore damage only its own channel, and
+    nothing an old worker wrote can reach its replacement's reader.  A
+    send completes synchronously into the pipe (no feeder thread), so a
+    cell a worker has reported survives the worker crashing on the very
+    next batch member: the parent finds it in :meth:`drain`.
 
     ``fork`` is preferred (shares the already-imported interpreter state);
     ``spawn`` is the portable fallback — the campaign message carries
@@ -184,16 +197,7 @@ class WorkerPool:
             methods = multiprocessing.get_all_start_methods()
             context = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(context)
-        # SimpleQueue, deliberately: its put() pickles and writes to the
-        # pipe *synchronously* (no feeder thread), so once a worker has
-        # reported a cell the message survives even if the worker crashes
-        # on the very next batch member.  A buffered Queue would lose the
-        # completed results still sitting in its feeder thread, and the
-        # parent would re-run cells that already finished.
-        self._results = self._ctx.SimpleQueue()
-        self._retired: list[object] = []
         self._slots: dict[int, dict[str, object]] = {}
-        self._seq = 0
         self._campaign: tuple | None = None
         self._closed = False
         for slot in range(jobs):
@@ -213,14 +217,28 @@ class WorkerPool:
         return {slot: s["process"].pid for slot, s in self._slots.items()}
 
     def _spawn(self, slot: int) -> None:
-        tasks = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main, args=(slot, tasks, self._results), daemon=True
+            target=_worker_main, args=(slot, child_conn, conn), daemon=True
         )
         process.start()
-        self._slots[slot] = {"process": process, "queue": tasks}
+        # Only the worker may hold the child end: once it dies, the
+        # parent's reads see EOF instead of blocking on a torn message.
+        child_conn.close()
+        self._slots[slot] = {"process": process, "conn": conn, "eof": False}
         if self._campaign is not None:
-            tasks.put(("campaign", self._seq, *self._campaign))
+            self._send(slot, ("campaign", *self._campaign))
+
+    def _send(self, slot: int, message: object) -> None:
+        # Callers write to a slot only while it has no assignment, so the
+        # worker is waiting in recv() rather than blocked writing results
+        # the parent is not reading: a blocking send cannot deadlock.  A
+        # worker that died meanwhile surfaces through is_alive(), which
+        # the executor's supervision already handles.
+        try:
+            self._slots[slot]["conn"].send(message)
+        except OSError:
+            pass
 
     def begin_campaign(
         self,
@@ -228,8 +246,8 @@ class WorkerPool:
         handles: Mapping[str, SharedCaseHandle],
         frameworks: Mapping[str, object],
         track_memory: bool = False,
-    ) -> int:
-        """Configure every worker for one campaign; returns its sequence.
+    ) -> None:
+        """Configure every worker for one campaign.
 
         Dead workers are replaced first, so a reused pool always starts a
         campaign at full strength.  Frameworks are pickled once here and
@@ -237,51 +255,54 @@ class WorkerPool:
         """
         if self._closed:
             # A long-lived owner (the benchmark service) must hear about a
-            # lifecycle bug immediately, not via hung queue operations.
+            # lifecycle bug immediately, not via hung pipe operations.
             raise RuntimeError("WorkerPool is shut down; create a new pool")
-        self._seq += 1
         blobs = {name: pickle.dumps(fw) for name, fw in frameworks.items()}
         self._campaign = (spec, dict(handles), blobs, track_memory)
         for slot in list(self._slots):
             if not self._slots[slot]["process"].is_alive():
                 self.respawn(slot)  # respawn sends the campaign message
             else:
-                self._slots[slot]["queue"].put(("campaign", self._seq, *self._campaign))
-        return self._seq
+                self._send(slot, ("campaign", *self._campaign))
 
     def submit(self, slot: int, items: list) -> None:
-        """Dispatch one batch of ``(cell, attempt)`` pairs to one slot."""
-        self._slots[slot]["queue"].put(("batch", self._seq, list(items)))
+        """Dispatch one batch of ``(cell, attempt)`` pairs to an idle slot."""
+        self._send(slot, ("batch", list(items)))
 
-    def get(self, timeout: float | None = None):
-        """Next worker message, stripped of its campaign stamp, or None.
+    def receive(self, timeout: float | None = None) -> list:
+        """Wait up to ``timeout`` for worker messages; return all readable.
 
-        Stale messages (from a campaign that has since been reset on this
-        pool) are dropped here so the executor never sees them.
+        Messages are ``("start", slot, index, attempt)`` and
+        ``("cell", slot, index, attempt, result, spans)``.  An empty list
+        means nothing arrived in time.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            # SimpleQueue has no get(timeout=); poll the read end instead.
-            if not self._results._reader.poll(remaining):
-                return None
-            message = self._results.get()
-            kind = message[0]
-            if kind == "exit":
-                return message
-            if message[2] != self._seq:
-                continue
-            if kind == "start":
-                _, slot, _, index, attempt = message
-                return ("start", slot, index, attempt)
-            _, slot, _, index, attempt, result, spans = message
-            return ("cell", slot, index, attempt, result, spans)
+        readers = {
+            state["conn"]: slot
+            for slot, state in self._slots.items()
+            if not state["eof"]
+        }
+        messages = []
+        for conn in connection.wait(list(readers), timeout):
+            messages.extend(self.drain(readers[conn]))
+        return messages
 
-    def get_nowait(self):
-        """Like :meth:`get` but never blocks."""
-        return self.get(timeout=0.0)
+    def drain(self, slot: int) -> list:
+        """Every message still buffered in ``slot``'s channel, never blocking.
+
+        The executor calls this for a dead worker before declaring its
+        in-flight cell lost, so results reported just before the death
+        are kept.  A worker killed mid-``send`` leaves a torn message,
+        which ``recv`` reports as ``EOFError``/``OSError``: that marks the
+        end of the channel, not an error of the campaign.
+        """
+        state = self._slots[slot]
+        messages = []
+        try:
+            while not state["eof"] and state["conn"].poll(0):
+                messages.append(state["conn"].recv())
+        except (EOFError, OSError):
+            state["eof"] = True
+        return messages
 
     def is_alive(self, slot: int) -> bool:
         """Whether the worker currently occupying ``slot`` is running."""
@@ -294,50 +315,38 @@ class WorkerPool:
     def respawn(self, slot: int) -> None:
         """Replace one worker (killing it first if still alive).
 
-        The replacement gets a *fresh* task queue so it can never consume
-        a batch the executor already accounted as lost, and is configured
-        for the current campaign before it sees any work.
+        The old worker's channel is closed unread, so the replacement can
+        never see a batch the executor already accounted as lost, and the
+        parent never sees a message the old worker wrote.  The replacement
+        is configured for the current campaign before it sees any work.
         """
         state = self._slots[slot]
-        process = state["process"]
-        if process.is_alive():
-            process.terminate()
-            process.join(1.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM blocked
-                process.kill()
-                process.join(1.0)
-        self._retired.append(state["queue"])
+        _stop(state["process"])
+        state["conn"].close()
         self._spawn(slot)
 
     def reset(self) -> None:
         """Kill and respawn every worker, discarding in-flight work.
 
         Used when a campaign on a shared pool aborts: the pool stays
-        usable for the next campaign, and stamp filtering in :meth:`get`
-        drops anything the old workers managed to send.
+        usable for the next campaign, and closing the old channels drops
+        anything the old workers managed to send.
         """
         for slot in list(self._slots):
             self.respawn(slot)
 
     def shutdown(self) -> None:
-        """Stop all workers and release queues.  Idempotent."""
+        """Stop all workers and close their channels.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        for state in self._slots.values():
+        for slot, state in self._slots.items():
             if state["process"].is_alive():
-                state["queue"].put(None)
+                self._send(slot, None)
         for state in self._slots.values():
-            process = state["process"]
-            process.join(5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
-        self._results.close()
-        queues = [state["queue"] for state in self._slots.values()]
-        for q in [*queues, *self._retired]:
-            q.close()
-            q.cancel_join_thread()
+            state["process"].join(5.0)
+            _stop(state["process"])
+            state["conn"].close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -345,3 +354,13 @@ class WorkerPool:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown()
         return False
+
+
+def _stop(process) -> None:
+    """Terminate ``process`` if it is still running, escalating to SIGKILL."""
+    if process.is_alive():
+        process.terminate()
+        process.join(1.0)
+        if process.is_alive():  # pragma: no cover - SIGTERM blocked
+            process.kill()
+            process.join(1.0)

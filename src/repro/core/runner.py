@@ -479,13 +479,11 @@ def run_suite(
     other cell still runs.  ``strict=True`` restores fail-fast: the first
     failing cell re-raises.
 
-    ``jobs`` (default ``spec.jobs``) > 1 dispatches to a parallel
-    executor (:mod:`repro.core.executor`) selected by ``spec.pool``:
-    ``"process"`` shards batches of cells across warm worker processes
-    over a shared-memory corpus and turns the per-trial deadline into a
-    *hard* kill; ``"threads"`` runs cells on worker threads sharing this
-    process's corpus (cheapest dispatch, soft deadlines).  ``jobs=1`` is
-    the in-process serial path, where the deadline is soft (see
+    ``jobs`` (default ``spec.jobs``) > 1 dispatches to the parallel
+    executor (:mod:`repro.core.executor`), which shards batches of cells
+    across warm worker processes over a shared-memory corpus and turns
+    the per-trial deadline into a *hard* kill.  ``jobs=1`` is the
+    in-process serial path, where the deadline is soft (see
     :class:`TrialDeadline`).  ``cache`` routes graph building through a
     persistent on-disk cache.
 
@@ -533,7 +531,6 @@ def run_suite(
         "modes": mode_values,
         "frameworks": framework_names,
         "jobs": effective_jobs,
-        "pool": spec.pool,
     }
     if dataset_provenance:
         campaign_meta["datasets"] = dataset_provenance
@@ -571,13 +568,10 @@ def run_suite(
 
     try:
         if effective_jobs > 1:
-            from .executor import run_suite_parallel, run_suite_threads
+            from .executor import run_suite_parallel
 
-            executor = (
-                run_suite_threads if spec.pool == "threads" else run_suite_parallel
-            )
             with graceful_shutdown():
-                results = executor(
+                results = run_suite_parallel(
                     frameworks,
                     graph_names,
                     kernels=kernels,

@@ -77,13 +77,6 @@ class BenchmarkSpec:
     #: Worker processes for the campaign.  1 = serial in-process execution;
     #: >1 shards cells across a process pool over a shared-memory corpus.
     jobs: int = 1
-    #: Worker pool flavor for ``jobs > 1``: ``"process"`` (isolated
-    #: workers over a shared-memory corpus; hard per-cell kills) or
-    #: ``"threads"`` (threads sharing the parent's address space — no
-    #: corpus publication or pickling at all, best for GIL-releasing
-    #: NumPy kernels; deadlines stay soft because a thread cannot be
-    #: killed).  See :mod:`repro.core.executor`.
-    pool: str = "process"
     #: Cells per dispatch message under ``jobs > 1``.  ``None`` sizes
     #: batches automatically from trial counts (see
     #: :mod:`repro.core.batching`); ``1`` restores per-cell dispatch.
@@ -116,10 +109,6 @@ class BenchmarkSpec:
             raise BenchmarkConfigError("trial_timeout must be positive (or None)")
         if self.jobs < 1:
             raise BenchmarkConfigError("jobs must be >= 1")
-        if self.pool not in ("process", "threads"):
-            raise BenchmarkConfigError(
-                f"pool must be 'process' or 'threads', got {self.pool!r}"
-            )
         if self.batch_size is not None and self.batch_size < 1:
             raise BenchmarkConfigError("batch_size must be >= 1 (or None = auto)")
         if self.retries < 0:
@@ -140,7 +129,6 @@ class BenchmarkSpec:
             "verify": self.verify,
             "trial_timeout": self.trial_timeout,
             "jobs": self.jobs,
-            "pool": self.pool,
             "batch_size": self.batch_size,
             "retries": self.retries,
             "breaker_threshold": self.breaker_threshold,

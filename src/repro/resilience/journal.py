@@ -66,11 +66,13 @@ def campaign_fingerprint(
     over the same axes.  The environment rides along so resume can refuse
     a journal written on a non-comparable machine.
 
-    Execution topology — ``jobs``, ``pool``, ``batch_size`` — is *not*
-    identity: the executor equivalence matrix guarantees cells are
-    interchangeable across serial, process-pool, and thread-pool runs,
-    so a campaign interrupted under one topology may resume under
-    another (e.g. finish a crashed ``--jobs 8`` run serially).
+    Execution topology (``jobs``, ``batch_size``) is *not* identity: the
+    executor equivalence matrix guarantees cells are interchangeable
+    across serial, per-cell, and batched process-pool runs, so a campaign
+    interrupted under one topology may resume under another (e.g. finish
+    a crashed ``--jobs 8`` run serially).  The spec slice is
+    :func:`repro.store.cellindex.spec_identity`, the one owner of that
+    rule, so journal headers and cell digests cannot disagree about it.
 
     ``datasets`` is the provenance map for file-backed graph-axis entries
     (ref -> path/digest/format, see
@@ -81,15 +83,11 @@ def campaign_fingerprint(
     re-derive content-addressed cell digests from the recorded map without
     the original file existing anymore.
     """
+    from ..store.cellindex import spec_identity
     from ..store.environment import fingerprint
 
-    spec_identity = {
-        key: value
-        for key, value in spec.as_dict().items()
-        if key not in ("jobs", "pool", "batch_size")
-    }
     identity: dict[str, object] = {
-        "spec": spec_identity,
+        "spec": spec_identity(spec),
         "graphs": list(graphs),
         "kernels": list(kernels),
         "modes": list(modes),

@@ -38,7 +38,7 @@ import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from queue import Full, Queue, SimpleQueue
+from queue import Full, Queue
 from typing import Callable, Iterator
 
 from ..core.executor import run_suite_parallel
@@ -112,7 +112,7 @@ class _Inflight:
     __slots__ = ("subscribers", "line")
 
     def __init__(self) -> None:
-        self.subscribers: list[SimpleQueue] = []
+        self.subscribers: list[Queue] = []
         self.line: bytes | None = None
 
 
@@ -183,6 +183,8 @@ class BenchmarkService:
         self._job_seq = 0
         self._started_at = time.time()
         self._closed = False
+        #: Set by :meth:`shutdown`; wakes the watchdog so it exits at once.
+        self._stopping = threading.Event()
         self._draining = False
         self._engine_job: _Job | None = None
         self._watchdog_interval = max(0.05, float(watchdog_interval))
@@ -246,7 +248,7 @@ class BenchmarkService:
             return
         hasher = identity_hasher(spec)
         cells = request.cell_keys()
-        queue: SimpleQueue = SimpleQueue()
+        queue: Queue = Queue()
         hit_lines: list[bytes] = []
         owned: list[tuple[str, tuple[str, str, str, str]]] = []
         pending: set[str] = set()
@@ -514,8 +516,7 @@ class BenchmarkService:
         unblock instead of hanging forever) and spawning a fresh engine
         that continues with the queued jobs.
         """
-        while not self._closed:
-            time.sleep(self._watchdog_interval)
+        while not self._stopping.wait(self._watchdog_interval):
             if self._closed or self._engine.is_alive():
                 continue
             with self._lock:
@@ -928,6 +929,8 @@ class BenchmarkService:
         if self._closed:
             return
         self._closed = True
+        self._stopping.set()
+        self._watchdog.join(timeout=timeout)
         self._queue.put(None)
         self._engine.join(timeout=timeout)
         if self._pool is not None and not self._pool.closed:

@@ -69,6 +69,8 @@ __all__ = [
 CELL_INDEX_VERSION = 1
 
 #: Spec fields that are execution topology, not measurement identity.
+#: ``"pool"`` is no longer a spec field, but spec dicts in manifests and
+#: journals written while it was must still hash to the same identity.
 TOPOLOGY_KEYS = ("jobs", "pool", "batch_size")
 
 #: Canonical cell key: matches ``RunResult.cell_key``.
@@ -79,8 +81,8 @@ def spec_identity(spec) -> dict[str, object]:
     """The measurement-identity slice of a spec (topology stripped).
 
     Accepts a :class:`~repro.core.spec.BenchmarkSpec` or its dict form.
-    Matches the ``spec`` field of
-    :func:`repro.resilience.journal.campaign_fingerprint` so journal
+    It is also the ``spec`` field of
+    :func:`repro.resilience.journal.campaign_fingerprint`, so journal
     headers and cell digests agree about what "the same campaign" means.
     """
     spec_dict = spec.as_dict() if hasattr(spec, "as_dict") else dict(spec)

@@ -5,12 +5,21 @@ watchdog: any single test exceeding the budget fails with a clear
 message instead of hanging the whole suite.  This is how CI guards the
 fault-injection tests (which deliberately create hangs) without any
 third-party timeout plugin.
+
+Every test also runs under a leak check: a test that leaves behind a
+thread, a child process, or a ``/dev/shm`` segment fails, so no later
+test forks over (or waits on) another test's stragglers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import threading
+import time
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -51,6 +60,78 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: How long a test's stragglers may take to finish (threads winding down,
+#: children exiting) before they count as leaked.
+LEAK_GRACE_SECONDS = 5.0
+
+_SHM = Path("/dev/shm")
+
+
+def _child_pids() -> set[int]:
+    """PIDs of this process's live (non-zombie) children."""
+    multiprocessing.active_children()  # reaps finished multiprocessing children
+    tasks = Path("/proc/self/task")
+    if not tasks.is_dir():
+        return {p.pid for p in multiprocessing.active_children()}
+    pids = set()
+    for task in tasks.iterdir():
+        try:
+            pids.update(int(pid) for pid in (task / "children").read_text().split())
+        except OSError:  # the thread exited while we looked
+            continue
+    live = set()
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue
+        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+            live.add(pid)
+    # Python's shared-memory resource tracker is one per interpreter,
+    # started by whichever test first creates a segment.
+    live.discard(getattr(resource_tracker._resource_tracker, "_pid", None))
+    return live
+
+
+def _shm_segments() -> set[str]:
+    return set(os.listdir(_SHM)) if _SHM.is_dir() else set()
+
+
+def _leaks(threads_before, children_before, shm_before) -> list[str]:
+    threads = [
+        t for t in threading.enumerate() if t not in threads_before and t.is_alive()
+    ]
+    children = _child_pids() - children_before
+    segments = _shm_segments() - shm_before
+    leaks = [f"thread {t.name!r}" for t in threads]
+    leaks += [f"child process {pid}" for pid in sorted(children)]
+    leaks += [f"/dev/shm segment {name}" for name in sorted(segments)]
+    return leaks
+
+
+@pytest.fixture(autouse=True)
+def no_leaks():
+    """Fail the test if it leaves threads, children, or shm segments behind."""
+    threads_before = set(threading.enumerate())
+    children_before = _child_pids()
+    shm_before = _shm_segments()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_SECONDS
+    for thread in threading.enumerate():
+        if thread not in threads_before:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    while True:
+        leaks = _leaks(threads_before, children_before, shm_before)
+        if not leaks or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    if leaks:
+        pytest.fail(
+            f"test leaked after {LEAK_GRACE_SECONDS:g}s: " + ", ".join(leaks),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session", params=GRAPHS)

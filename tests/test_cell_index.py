@@ -37,9 +37,26 @@ def _result(graph="kron", kernel="bfs", framework="gap", status="ok"):
 
 class TestDigest:
     def test_topology_outside_the_digest(self):
-        serial = BenchmarkSpec(scale=8, jobs=1, pool="process")
-        fanout = BenchmarkSpec(scale=8, jobs=4, pool="threads", batch_size=7)
+        serial = BenchmarkSpec(scale=8, jobs=1)
+        fanout = BenchmarkSpec(scale=8, jobs=4, batch_size=7)
         assert cell_digest(serial, CELL) == cell_digest(fanout, CELL)
+
+    def test_legacy_pool_field_keeps_the_digest(self):
+        # Manifests and journals written while the spec still had a
+        # ``pool`` field carry it in their spec dicts; those cells must
+        # keep hitting the memo.  The literal pins the digest the
+        # pre-removal spec produced for this environment.
+        env = {
+            "python": "3.11.0",
+            "implementation": "CPython",
+            "machine": "x86_64",
+            "numpy": "1.26.0",
+            "cpu_count": 4,
+        }
+        spec = BenchmarkSpec(scale=8)
+        legacy = {**spec.as_dict(), "jobs": 4, "pool": "threads", "batch_size": 7}
+        assert cell_digest(legacy, CELL, environment=env) == "d36085da62fd1ede"
+        assert cell_digest(spec, CELL, environment=env) == "d36085da62fd1ede"
 
     def test_measurement_knobs_inside_the_digest(self):
         base = BenchmarkSpec(scale=8)
@@ -79,12 +96,12 @@ class TestDigest:
         assert cell_digest(spec, CELL) == cell_digest(spec, CELL, environment=moved)
 
     def test_spec_identity_strips_only_topology(self):
-        spec = BenchmarkSpec(scale=8, jobs=3, pool="threads", batch_size=2)
+        spec = BenchmarkSpec(scale=8, jobs=3, batch_size=2)
         identity = spec_identity(spec)
         assert "jobs" not in identity
-        assert "pool" not in identity
         assert "batch_size" not in identity
         assert identity["scale"] == 8
+        assert identity == spec_identity({**spec.as_dict(), "pool": "threads"})
 
 
 class TestCellIndex:

@@ -1,11 +1,11 @@
 """Executor equivalence matrix: every execution mode, every fault class.
 
-The four execution modes — serial, per-cell process pool, batched
-process pool, and thread pool — must be *observationally identical*:
-same cells in the same canonical order, same statuses, same verification
-outcomes, same machine-independent work counters.  Timings and error
-message texts are the only permitted differences (a crash surfaces as a
-worker death in process modes and as an in-process exception elsewhere).
+The three execution modes — serial, per-cell process pool, and batched
+process pool — must be *observationally identical*: same cells in the
+same canonical order, same statuses, same verification outcomes, same
+machine-independent work counters.  Timings and error message texts are
+the only permitted differences (a crash surfaces as a worker death in
+process modes and as an in-process exception serially).
 
 The campaign mixes fast cells, a deterministic verification failure, an
 injected crash-class fault, and a hung cell, so the matrix covers every
@@ -14,11 +14,11 @@ injected crash-class fault, and a hung cell, so the matrix covers every
 * fast cells         -> ``ok`` everywhere;
 * broken kernel      -> ``error`` (verification) everywhere;
 * crash-class fault  -> ``error`` everywhere (``crash`` kills the worker
-  in process modes; serial/threads substitute the ``error`` fault, since
+  in process modes; serial substitutes the ``error`` fault, since
   ``os._exit`` there would take the whole campaign down — which is
   exactly the isolation difference the substitution documents);
 * hung cell          -> ``timeout`` everywhere (SIGALRM interrupts it
-  serially and in workers; the thread pool detects the overrun post-hoc).
+  serially and in workers).
 """
 
 import dataclasses
@@ -41,7 +41,6 @@ EXEC_MODES = {
     "serial": (1, {}),
     "process": (2, {"batch_size": 1}),
     "process-batched": (2, {"batch_size": 3}),
-    "threads": (2, {"pool": "threads"}),
 }
 
 PROCESS_MODES = ("process", "process-batched")
@@ -59,11 +58,10 @@ class BrokenTC(GAPReference):
 class SlowCC(GAPReference):
     """A CC kernel that overruns its trial budget, then finishes.
 
-    The hang is *bounded* so the matrix stays meaningful in every mode:
-    SIGALRM interrupts the sleep mid-flight (serial and process workers),
-    while the thread pool — where a thread cannot be interrupted — runs
-    it to completion and flags the overrun post-hoc.  Either way the cell
-    must come out as a ``timeout``.
+    The hang is *bounded*, so a missed deadline shows up as a wrong status
+    rather than a stuck suite: SIGALRM interrupts the sleep mid-flight
+    (serially and in process workers), and the cell must come out as a
+    ``timeout``.
     """
 
     attributes = dataclasses.replace(GAPReference.attributes, name="slow-cc")
@@ -202,10 +200,11 @@ def test_timeout_campaign_traces_one_span_per_cell(timeout_matrix, mode_name):
     assert timeout_spans[0].attributes["framework"] == "slow-cc"
 
 
-def test_campaign_meta_records_the_pool_flavor():
-    results = _run("threads", [GAPReference()], ["bfs"], {})
-    assert results.meta["pool"] == "threads"
-    assert results.meta["spec"]["pool"] == "threads"
+def test_campaign_meta_records_the_topology():
+    results = _run("serial", [GAPReference()], ["bfs"], {})
+    assert results.meta["jobs"] == 1
+    assert results.meta["spec"]["batch_size"] is None
     results = _run("process-batched", [GAPReference()], ["bfs"], {})
-    assert results.meta["pool"] == "process"
+    assert results.meta["jobs"] == 2
     assert results.meta["spec"]["batch_size"] == 3
+    assert "pool" not in results.meta and "pool" not in results.meta["spec"]

@@ -6,10 +6,16 @@ Tier-1 guarantees pinned here:
   worker processes — the PIDs do not change between campaigns, which is
   the whole point of warm pools (spawn cost paid once);
 * an externally owned pool survives a campaign that aborts mid-flight,
-  and the next campaign on it produces clean results (stale messages
-  from the aborted campaign are filtered by sequence stamp);
+  and the next campaign on it produces clean results: the aborted
+  campaign's workers are replaced together with their private pipes, so
+  none of their messages can reach the next campaign;
+* aborting and rerunning 50 times in a row never wedges the pool (a
+  worker killed mid-send damages only its own channel);
 * ``reset()`` replaces every worker;
 * a dead worker is replaced at the next ``begin_campaign``.
+
+That a cell reported just before its worker dies is kept, not re-run, is
+pinned per batch member in ``tests/test_resilience_batched.py``.
 """
 
 import pytest
@@ -60,11 +66,25 @@ def test_pool_survives_aborted_campaign():
         with pytest.raises(KeyboardInterrupt):
             _campaign(pool, kernels=("bfs", "cc"), progress=abort)
         # The pool handle is still usable; the aborted campaign's workers
-        # were replaced and its stray messages are dropped by stamp.
+        # were replaced, and their channels closed with them.
         telemetry = Telemetry()
         results = _campaign(pool, kernels=("bfs", "cc"), telemetry=telemetry)
         assert len(results) == 2 and all(r.ok for r in results)
         assert len(telemetry.spans) == 2
+
+
+def test_pool_survives_repeated_aborted_campaigns():
+    with WorkerPool(2) as pool:
+        def abort(label):
+            raise KeyboardInterrupt
+
+        for _ in range(50):
+            with pytest.raises(KeyboardInterrupt):
+                _campaign(pool, kernels=("bfs", "cc"), progress=abort)
+            telemetry = Telemetry()
+            results = _campaign(pool, kernels=("bfs", "cc"), telemetry=telemetry)
+            assert len(results) == 2 and all(r.ok for r in results)
+            assert len(telemetry.spans) == 2
 
 
 def test_reset_replaces_every_worker():

@@ -451,6 +451,19 @@ def test_cli_rejects_out_of_range_arguments(argv, capsys):
     assert "must be" in err or "expected" in err
 
 
+#: ``run`` options that no longer exist; argparse must refuse them rather
+#: than silently accept a removed executor choice.
+REMOVED_RUN_OPTIONS = ("pool",)
+
+
+@pytest.mark.parametrize("name", REMOVED_RUN_OPTIONS)
+def test_cli_rejects_removed_options(name, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--" + name, "threads"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_resume_requires_journal(capsys):
     with pytest.raises(SystemExit, match="--resume requires --journal"):
         main(["run", "--resume"])

@@ -138,9 +138,9 @@ def test_resume_skips_completed_batch_members(tmp_path):
     assert results.meta["resilience"]["resumed_cells"] == 1
 
 
-def test_resume_skips_completed_batch_members_threads_pool(tmp_path):
-    """The same journal round-trips between pool flavors: a campaign
-    interrupted under the process pool resumes under the thread pool."""
+def test_resume_across_topologies(tmp_path):
+    """The same journal round-trips between topologies: a campaign
+    interrupted under the batched process pool resumes serially."""
     journal = tmp_path / "campaign.jsonl"
     spec = _spec(
         batch_size=3,
@@ -151,13 +151,14 @@ def test_resume_skips_completed_batch_members_threads_pool(tmp_path):
             spec, ("bfs", "cc", "pr"), strict=True, journal=str(journal)
         )
 
-    resumed_spec = _spec(
-        batch_size=3, pool="threads", faults=(FaultSpec(kind="error", kernel="bfs"),)
-    )
+    resumed_spec = _spec(faults=(FaultSpec(kind="error", kernel="bfs"),))
     results = _campaign(
         resumed_spec,
         ("bfs", "cc", "pr"),
+        jobs=1,
         journal=str(journal),
         resume=True,
     )
     assert len(results) == 3 and all(r.ok for r in results)
+    assert results.meta["jobs"] == 1
+    assert results.meta["resilience"]["resumed_cells"] == 1

@@ -26,6 +26,7 @@ from repro.service import ServiceClient
 pytestmark = [pytest.mark.tier2, pytest.mark.slow]
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+SHM = Path("/dev/shm")
 
 #: Slow enough per cell (tc with boosted trials) that SIGKILL reliably
 #: lands mid-campaign, fast enough to keep the test under a minute.
@@ -57,6 +58,7 @@ def _start_server(tmp_path: Path, resume: bool = False) -> tuple[subprocess.Pope
     if resume:
         argv.append("--resume")
     env = dict(os.environ, PYTHONPATH=SRC)
+    shm_before = _shm_segments()
     proc = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -65,6 +67,7 @@ def _start_server(tmp_path: Path, resume: bool = False) -> tuple[subprocess.Pope
         text=True,
         start_new_session=True,
     )
+    proc.shm_before = shm_before
     deadline = time.time() + 60.0
     port = None
     while time.time() < deadline:
@@ -78,9 +81,23 @@ def _start_server(tmp_path: Path, resume: bool = False) -> tuple[subprocess.Pope
     return proc, port
 
 
+def _shm_segments() -> set[str]:
+    return set(os.listdir(SHM)) if SHM.is_dir() else set()
+
+
 def _sigkill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the server's whole group, then remove what it left in shm.
+
+    A killed group cannot unlink its shared-memory corpus (its resource
+    tracker dies with it), so the test, which simulated the crash, cleans
+    up the segments that appeared while the server ran.
+    """
     os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
     proc.wait(timeout=30.0)
+    proc.stdout.close()
+    for name in _shm_segments() - proc.shm_before:
+        if name.startswith("psm_"):
+            (SHM / name).unlink(missing_ok=True)
 
 
 class TestCrashRecovery:

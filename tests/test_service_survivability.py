@@ -192,3 +192,15 @@ class TestDrain:
         assert svc._draining is True
         svc.drain(timeout=1.0)  # idempotent, like shutdown
         svc.shutdown()
+
+
+class TestShutdown:
+    def test_shutdown_joins_the_watchdog_and_the_engine(self, tmp_path):
+        # Default (1s) interval: the watchdog must not sleep out its
+        # interval after shutdown, or a later test would fork over it.
+        svc = BenchmarkService(
+            archive_dir=tmp_path / "archive", cache_dir=tmp_path / "graphs"
+        )
+        svc.shutdown()
+        assert not svc._watchdog.is_alive()
+        assert not svc._engine.is_alive()

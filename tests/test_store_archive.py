@@ -298,17 +298,19 @@ class TestConcurrentArchival:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        queue = ctx.SimpleQueue()
+        queue = ctx.Queue()
         workers = [
             ctx.Process(target=_archive_worker, args=(str(tmp_path), n, queue))
             for n in range(2)
         ]
         for worker in workers:
             worker.start()
+        # Read before joining: a child exits only once its queued
+        # outcome has been flushed to the pipe.
+        outcomes = [queue.get(timeout=30.0) for _ in workers]
         for worker in workers:
             worker.join(30.0)
             assert worker.exitcode == 0
-        outcomes = [queue.get() for _ in workers]
         statuses = {status for status, _ in outcomes}
         assert statuses == {"ok"}, outcomes
         run_ids = {run_id for _, run_id in outcomes}
