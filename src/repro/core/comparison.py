@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..frameworks.base import KERNELS, Mode
 from .paper_data import PAPER_GRAPH_ORDER, PAPER_TABLE5, paper_table5
@@ -127,6 +126,10 @@ def framework_rank_correlation(
     comparisons: list[CellComparison],
 ) -> dict[str, float]:
     """Spearman correlation of paper-vs-measured cell patterns per framework."""
+    # Imported here: scipy.stats costs about half a second to import, and
+    # every CLI command that imports this module would otherwise pay it.
+    from scipy import stats
+
     correlations: dict[str, float] = {}
     frameworks = {c.framework for c in comparisons}
     for framework in sorted(frameworks):

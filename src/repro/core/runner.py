@@ -11,7 +11,8 @@ Timing follows the GAP rules as the paper applies them:
   frameworks; BC draws 4 roots per trial; the reported time is the
   average over trials;
 * every output is verified (once per cell) against the oracles in
-  :mod:`repro.core.verify`.
+  :mod:`repro.core.verify`; each oracle is built once per case, kernel
+  and trial-0 sources and shared by every framework and mode.
 
 Every cell runs inside a telemetry span (see :mod:`repro.core.telemetry`):
 wall time per trial, prepare/kernel/verify phase times, a work-counter
@@ -33,7 +34,7 @@ and SIGTERM unwinds the campaign cleanly instead of killing it mid-cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -72,12 +73,18 @@ class GraphCase:
     * ``undirected`` is ``graph`` itself when the input is already
       undirected (an alias, never a copy), else the symmetrized form.
       It is always unweighted like ``graph`` (TC ignores weights).
+
+    ``oracles`` memoizes the verification oracles built for this case,
+    keyed by ``(kernel, trial-0 source or source tuple)``: every framework
+    and mode verifies trial 0 from the same sources, so one entry per
+    kernel serves all of a graph's cells.  It lives and dies with the case.
     """
 
     name: str
     graph: CSRGraph
     weighted: CSRGraph
     undirected: CSRGraph
+    oracles: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, name: str, scale: int, seed: int = 0) -> "GraphCase":
@@ -89,6 +96,23 @@ class GraphCase:
         weighted = graph if graph.is_weighted else weighted_version(graph, seed=seed)
         undirected = graph.to_undirected() if graph.directed else graph
         return cls(name, graph, weighted, undirected)
+
+
+def _read_only(case: GraphCase) -> GraphCase:
+    """Mark every array of ``case`` read-only, as attached shared cases are.
+
+    A kernel that writes into its input then fails in the serial executor
+    too, instead of silently corrupting the case (and its oracle memo) for
+    the cells after it.
+    """
+    for view in (case.graph, case.weighted, case.undirected):
+        for array in (
+            view.indptr, view.indices, view.weights,
+            view.in_indptr, view.in_indices, view.in_weights,
+        ):
+            if array is not None:
+                array.flags.writeable = False
+    return case
 
 
 def build_case(
@@ -114,6 +138,8 @@ def build_case(
     each corruption the lookup detected becomes a structured
     ``cache-corruption`` warning span, and the cache's ``corrupt`` /
     ``corrupt_events`` counters record it either way.
+
+    The returned case's arrays are read-only.
     """
     from ..graphs.datasets import is_dataset_ref, resolve
 
@@ -138,8 +164,8 @@ def build_case(
             views = cache.load_dataset_views(info.digest, spec.seed)
             _note_corruption(seen)
             if views is not None:
-                return GraphCase(graph_name, *views)
-        case = GraphCase.from_graph(graph_name, info.load(), seed=spec.seed)
+                return _read_only(GraphCase(graph_name, *views))
+        case = _read_only(GraphCase.from_graph(graph_name, info.load(), seed=spec.seed))
         if cache is not None:
             try:
                 cache.store_dataset_views(
@@ -160,8 +186,8 @@ def build_case(
         views = cache.load_views(graph_name, spec.scale, spec.seed)
         _note_corruption(seen)
         if views is not None:
-            return GraphCase(graph_name, *views)
-    case = GraphCase.build(graph_name, scale=spec.scale, seed=spec.seed)
+            return _read_only(GraphCase(graph_name, *views))
+    case = _read_only(GraphCase.build(graph_name, scale=spec.scale, seed=spec.seed))
     if cache is not None:
         try:
             cache.store_views(
@@ -183,6 +209,20 @@ def _kernel_input(case: GraphCase, kernel: str) -> CSRGraph:
     return case.graph
 
 
+def _build_oracle(
+    kernel: str, case: GraphCase, source: int | None, sources: np.ndarray | None
+):
+    if kernel == "bfs":
+        return verify.bfs_oracle(case.graph, source)
+    if kernel == "sssp":
+        return verify.sssp_oracle(case.weighted, source)
+    if kernel == "cc":
+        return verify.cc_oracle(case.graph)
+    if kernel == "bc":
+        return verify.bc_oracle(case.graph, sources)
+    return verify.tc_oracle(case.undirected)
+
+
 def _verify_output(
     kernel: str,
     case: GraphCase,
@@ -191,22 +231,26 @@ def _verify_output(
     sources: np.ndarray | None,
     spec: BenchmarkSpec,
 ) -> None:
-    if kernel == "bfs":
-        verify.verify_bfs(case.graph, source, output)
-    elif kernel == "sssp":
-        verify.verify_sssp(case.weighted, source, output)
-    elif kernel == "cc":
-        verify.verify_cc(case.graph, output)
-    elif kernel == "pr":
+    if kernel == "pr":
         verify.verify_pr(case.graph, output, tolerance=spec.pr_tolerance)
+        return
+    # The oracle is a function of the case, the kernel and trial 0's
+    # sources alone, so the first cell to verify it builds it (inside its
+    # own verify phase) and later cells only check against it.
+    key = (kernel, source if sources is None else tuple(sources.tolist()))
+    oracle = case.oracles.get(key)
+    if oracle is None:
+        oracle = case.oracles[key] = _build_oracle(kernel, case, source, sources)
+    if kernel == "bfs":
+        verify.check_bfs(oracle, output)
+    elif kernel == "sssp":
+        verify.check_sssp(oracle, output)
+    elif kernel == "cc":
+        verify.check_cc(oracle, output)
     elif kernel == "bc":
-        # Imported lazily: the gapbs package itself depends on repro.core.
-        from ..gapbs import GAPReference
-
-        reference = GAPReference().betweenness(case.graph, sources)
-        verify.verify_bc(reference, output)
+        verify.verify_bc(oracle, output)
     elif kernel == "tc":
-        verify.verify_tc(case.undirected, int(output))
+        verify.check_tc(oracle, int(output))
 
 
 def _counters_snapshot(work: counters_mod.WorkCounters) -> dict[str, object]:

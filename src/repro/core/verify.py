@@ -11,9 +11,20 @@ message on the first violated rule.
 BC has no cheap independent oracle at benchmark scale; its verifier checks
 cross-framework agreement against the reference implementation (which the
 test suite separately validates against exact results on small graphs).
+
+Every kernel but PR splits into an *oracle* (``bfs_oracle``,
+``sssp_oracle``, ``cc_oracle``, ``bc_oracle``, ``tc_oracle``: the reference
+answer, a function of the graph and the sources alone) and a *check*
+(``check_bfs``, ``check_sssp``, ``check_cc``, ``verify_bc``, ``check_tc``:
+the output against that answer).  The benchmark runner builds each oracle
+once per graph case and checks every framework's output against it; the
+``verify_*`` functions do both steps for one output.  PR has no oracle:
+``verify_pr`` checks the fixed-point equations directly.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +41,16 @@ __all__ = [
     "verify_bc",
     "verify_tc",
     "reference_bfs_depths",
+    "BFSOracle",
+    "bfs_oracle",
+    "sssp_oracle",
+    "cc_oracle",
+    "bc_oracle",
+    "tc_oracle",
+    "check_bfs",
+    "check_sssp",
+    "check_cc",
+    "check_tc",
 ]
 
 
@@ -66,9 +87,24 @@ def reference_bfs_depths(graph: CSRGraph, source: int) -> np.ndarray:
     return depths
 
 
-def verify_bfs(graph: CSRGraph, source: int, parents: np.ndarray) -> None:
+class BFSOracle(NamedTuple):
+    """What a BFS check needs: the source, oracle depths and the adjacency."""
+
+    source: int
+    depths: np.ndarray
+    adjacency: sp.csr_matrix
+
+
+def bfs_oracle(graph: CSRGraph, source: int) -> BFSOracle:
+    """Oracle depths from ``source`` plus the unweighted adjacency matrix."""
+    return BFSOracle(
+        source, reference_bfs_depths(graph, source), _to_scipy(graph, weighted=False)
+    )
+
+
+def check_bfs(oracle: BFSOracle, parents: np.ndarray) -> None:
     """GAP BFS rules: valid parent tree covering exactly the reachable set."""
-    depths = reference_bfs_depths(graph, source)
+    source, depths = oracle.source, oracle.depths
     if parents[source] != source:
         raise VerificationError("BFS: parent[source] must be source")
     reached = parents >= 0
@@ -82,15 +118,23 @@ def verify_bfs(graph: CSRGraph, source: int, parents: np.ndarray) -> None:
     if not np.array_equal(depths[others], depths[parent_ids] + 1):
         raise VerificationError("BFS: parent not one level above child")
     # Every (parent, child) pair must be a real edge.
-    adjacency = _to_scipy(graph, weighted=False)
-    present = np.asarray(adjacency[parent_ids, others]).ravel()
+    present = np.asarray(oracle.adjacency[parent_ids, others]).ravel()
     if not (present > 0).all():
         raise VerificationError("BFS: parent edge missing from graph")
 
 
-def verify_sssp(graph: CSRGraph, source: int, dist: np.ndarray) -> None:
+def verify_bfs(graph: CSRGraph, source: int, parents: np.ndarray) -> None:
+    """GAP BFS rules: valid parent tree covering exactly the reachable set."""
+    check_bfs(bfs_oracle(graph, source), parents)
+
+
+def sssp_oracle(graph: CSRGraph, source: int) -> np.ndarray:
+    """Dijkstra distances from ``source`` over the weighted graph."""
+    return csgraph.dijkstra(_to_scipy(graph, weighted=True), indices=source)
+
+
+def check_sssp(oracle: np.ndarray, dist: np.ndarray) -> None:
     """Distances must equal Dijkstra's exactly (integer weights)."""
-    oracle = csgraph.dijkstra(_to_scipy(graph, weighted=True), indices=source)
     mismatched = ~np.isclose(dist, oracle, rtol=0, atol=1e-9)
     if mismatched.any():
         worst = int(np.flatnonzero(mismatched)[0])
@@ -100,21 +144,37 @@ def verify_sssp(graph: CSRGraph, source: int, dist: np.ndarray) -> None:
         )
 
 
-def verify_cc(graph: CSRGraph, labels: np.ndarray) -> None:
-    """Labels must induce exactly the weak-connectivity partition."""
-    _, oracle = csgraph.connected_components(
+def verify_sssp(graph: CSRGraph, source: int, dist: np.ndarray) -> None:
+    """Distances must equal Dijkstra's exactly (integer weights)."""
+    check_sssp(sssp_oracle(graph, source), dist)
+
+
+def cc_oracle(graph: CSRGraph) -> np.ndarray:
+    """Weak-component labels ``0 .. k-1`` from SciPy."""
+    _, labels = csgraph.connected_components(
         _to_scipy(graph, weighted=False), directed=graph.directed, connection="weak"
     )
-    # Same partition <=> the label pairs biject.
-    seen: dict[tuple[int, int], None] = {}
-    ours: dict[int, int] = {}
-    theirs: dict[int, int] = {}
-    for mine, ref in zip(labels.tolist(), oracle.tolist()):
-        if ours.setdefault(mine, ref) != ref:
-            raise VerificationError("CC: one label spans two oracle components")
-        if theirs.setdefault(ref, mine) != mine:
-            raise VerificationError("CC: one oracle component got two labels")
-        seen[(mine, ref)] = None
+    return labels
+
+
+def check_cc(oracle: np.ndarray, labels: np.ndarray) -> None:
+    """Labels must induce exactly the weak-connectivity partition.
+
+    Same partition <=> the (label, oracle) pairs biject: there are as many
+    distinct pairs as distinct labels, and as many as oracle components.
+    """
+    distinct, mine = np.unique(labels, return_inverse=True)
+    components = int(oracle.max(initial=-1)) + 1
+    pairs = np.unique(mine.astype(np.int64) * components + oracle).size
+    if distinct.size != pairs:
+        raise VerificationError("CC: one label spans two oracle components")
+    if distinct.size != components:
+        raise VerificationError("CC: one oracle component got two labels")
+
+
+def verify_cc(graph: CSRGraph, labels: np.ndarray) -> None:
+    """Labels must induce exactly the weak-connectivity partition."""
+    check_cc(cc_oracle(graph), labels)
 
 
 def verify_pr(
@@ -155,11 +215,28 @@ def verify_bc(
         )
 
 
-def verify_tc(graph: CSRGraph, count: int) -> None:
-    """Triangle count must equal trace(A^3)/6 on the undirected graph."""
+def bc_oracle(graph: CSRGraph, sources: np.ndarray) -> np.ndarray:
+    """The GAP reference's BC scores from ``sources``."""
+    # Imported lazily: the gapbs package itself depends on repro.core.
+    from ..gapbs import GAPReference
+
+    return GAPReference().betweenness(graph, sources)
+
+
+def tc_oracle(graph: CSRGraph) -> int:
+    """trace(A^3)/6 on the undirected form of ``graph``."""
     undirected = graph.to_undirected() if graph.directed else graph
     adjacency = _to_scipy(undirected, weighted=False)
     closed = (adjacency @ adjacency).multiply(adjacency)
-    oracle = int(round(closed.sum() / 6.0))
+    return int(round(closed.sum() / 6.0))
+
+
+def check_tc(oracle: int, count: int) -> None:
+    """Triangle count must equal the oracle's."""
     if count != oracle:
         raise VerificationError(f"TC: counted {count}, oracle says {oracle}")
+
+
+def verify_tc(graph: CSRGraph, count: int) -> None:
+    """Triangle count must equal trace(A^3)/6 on the undirected graph."""
+    check_tc(tc_oracle(graph), count)

@@ -1,5 +1,10 @@
 """Tests for the paper-data tables, shape comparator, and programmability."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core.comparison import (
@@ -104,6 +109,21 @@ class TestComparator:
             CellComparison("x", "bfs", "web", Mode.BASELINE, 30.0, 3.0),
         ]
         assert framework_rank_correlation(comparisons)["x"] == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("ignore:An input array is constant")
+    def test_rank_correlation_ties_and_constant_input(self):
+        def cells(framework, pairs):
+            return [
+                CellComparison(framework, "bfs", graph, Mode.BASELINE, paper, measured)
+                for graph, (paper, measured) in zip(PAPER_GRAPH_ORDER, pairs)
+            ]
+
+        comparisons = cells("tied", [(1.0, 1.0), (2.0, 1.0), (3.0, 2.0)])
+        comparisons += cells("flat", [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)])
+        rho = framework_rank_correlation(comparisons)
+        # Ties take average ranks: measured ranks (1.5, 1.5, 3) vs (1, 2, 3).
+        assert rho["tied"] == pytest.approx(0.8660254)
+        assert np.isnan(rho["flat"])
 
 
 class TestProgrammability:
@@ -282,3 +302,16 @@ class TestCLIExtras:
         )
         assert code == 0
         assert "ligra" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is imported only when a rank correlation is computed."""
+    probe = "import sys, repro.__main__; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.verify import (
+    cc_oracle,
+    check_cc,
     reference_bfs_depths,
     verify_bc,
     verify_bfs,
@@ -94,6 +96,49 @@ class TestCCVerifier:
         labels[:] = 0  # everything one component: wrong
         with pytest.raises(VerificationError):
             verify_cc(tiny_graph, labels)
+
+    # tiny_graph's weak components are {0, 1, 2, 3}, {4} and {5, 6}.
+
+    def test_accepts_any_label_values(self, tiny_graph):
+        verify_cc(tiny_graph, np.array([-7, -7, -7, -7, 100, 3, 3]))
+
+    def test_names_a_label_spanning_two_components(self, tiny_graph):
+        labels = np.array([0, 0, 0, 0, 4, 0, 0])
+        with pytest.raises(VerificationError, match="one label spans two oracle components"):
+            verify_cc(tiny_graph, labels)
+
+    def test_names_a_component_with_two_labels(self, tiny_graph):
+        labels = np.array([0, 0, 0, 1, 4, 5, 5])
+        with pytest.raises(VerificationError, match="one oracle component got two labels"):
+            verify_cc(tiny_graph, labels)
+
+    def test_agrees_with_the_per_vertex_bijection_loop(self, gap, corpus):
+        """The vectorized check accepts exactly what a pairwise loop accepts."""
+        graph = corpus["road"]
+        oracle = cc_oracle(graph)
+
+        def loop_accepts(labels) -> bool:
+            ours: dict[int, int] = {}
+            theirs: dict[int, int] = {}
+            for mine, ref in zip(labels.tolist(), oracle.tolist()):
+                if ours.setdefault(mine, ref) != ref or theirs.setdefault(ref, mine) != mine:
+                    return False
+            return True
+
+        rng = np.random.default_rng(0)
+        correct = gap.connected_components(graph)
+        for _ in range(200):
+            labels = rng.permutation(graph.num_vertices + 5)[correct]
+            for _ in range(rng.integers(0, 3)):
+                # Move a few vertices to another existing label or a new one.
+                victims = rng.integers(0, graph.num_vertices, rng.integers(1, 4))
+                labels[victims] = rng.choice([labels[rng.integers(graph.num_vertices)], -1])
+            try:
+                check_cc(oracle, labels)
+                accepted = True
+            except VerificationError:
+                accepted = False
+            assert accepted == loop_accepts(labels)
 
 
 class TestPRVerifier:
