@@ -85,6 +85,20 @@ class ServiceClient:
                         f"service at {self.host}:{self.port} unreachable: {exc}"
                     ) from exc
 
+    def _finish(self, resp: http.client.HTTPResponse) -> None:
+        """Read a response to its terminating chunk, releasing the connection.
+
+        ``http.client`` only reuses a connection whose last response was
+        read to its end; one left open makes the next ``getresponse()``
+        raise, which would send the next request twice.  The stream has
+        already delivered its terminal event, so a failure here only
+        drops the connection: nothing is retried or reported.
+        """
+        try:
+            resp.read()
+        except (ConnectionError, http.client.HTTPException, OSError):
+            self.close()
+
     def _json(self, method: str, path: str) -> dict[str, object]:
         resp = self._request(method, path)
         payload = resp.read()
@@ -101,7 +115,9 @@ class ServiceClient:
 
         ``http.client`` undoes the chunked transfer-encoding, so each
         ``readline()`` returns exactly one NDJSON event once the server
-        flushes it.
+        flushes it, however the server grouped events into chunks.  The
+        response is read to its terminating chunk before the terminal
+        event is yielded, so the next call reuses the same connection.
 
         Transport failures — connection refused/reset, or a stream that
         ends before a terminal event (the server died mid-submission) —
@@ -133,9 +149,9 @@ class ServiceClient:
                 raise ServiceError(
                     f"submission rejected ({resp.status}): {detail}"
                 )
+            finished = False
             try:
-                saw_terminal = False
-                while not saw_terminal:
+                while True:
                     line = resp.readline()
                     if not line:
                         break
@@ -155,10 +171,14 @@ class ServiceClient:
                                 continue  # replayed by a retried attempt
                             seen_digests.add(digest)
                     elif kind in _TERMINAL_EVENTS:
-                        saw_terminal = True
+                        # Read to the last chunk before handing the event
+                        # over, so the connection is reusable even if the
+                        # caller stops iterating here.
+                        finished = True
+                        self._finish(resp)
+                        yield event
+                        return
                     yield event
-                if saw_terminal:
-                    return
                 last_error = ServiceError(
                     "event stream ended without a terminal event "
                     "(server died mid-submission)"
@@ -171,9 +191,12 @@ class ServiceClient:
             ) as exc:
                 # Reset mid-stream, or a line torn by a dying server.
                 last_error = exc
-            # The connection is in an unknown state after a torn stream;
-            # drop it so the next attempt starts clean.
-            self.close()
+            finally:
+                # A torn stream, or one the caller abandoned, leaves the
+                # connection mid-response: drop it so the next request
+                # starts clean instead of being sent on a busy socket.
+                if not finished:
+                    self.close()
         raise ServiceError(
             f"submission to {self.host}:{self.port} failed after "
             f"{self.max_attempts} attempts: {last_error}"

@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 import signal
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -202,6 +203,7 @@ class BenchmarkService:
             "submissions_degraded": 0,
             "cells_degraded_rejected": 0,
             "runs_quarantined": 0,
+            "client_disconnects": 0,
         }
         self.recovery_report: list[dict[str, object]] = []
         #: Runs refused at serve time (digest mismatch → quarantined).
@@ -223,12 +225,19 @@ class BenchmarkService:
 
     # -- submission (handler threads) -----------------------------------
 
-    def submit_events(self, request: CampaignRequest) -> Iterator[bytes]:
-        """Process one submission; yields encoded NDJSON event lines.
+    def submit_events(
+        self, request: CampaignRequest
+    ) -> Iterator[tuple[bytes, bool]]:
+        """Process one submission; yields ``(block, final)`` pairs.
 
-        The generator is the whole request lifecycle: classification runs
-        on first ``next()``, hits stream immediately, and the generator
-        blocks between events while misses execute.
+        A block is one or more encoded NDJSON event lines.  The generator
+        is the whole request lifecycle: classification runs on first
+        ``next()``, and the first block carries everything known then —
+        ``accepted`` and every hit, plus the terminal event when nothing
+        is pending, in which case it is also the ``final`` block.
+        Otherwise the generator blocks between events while misses
+        execute, yielding each executed cell as its own block, and the
+        terminal event last.
         """
         spec = request.spec()
         # Resolve dataset references before anything is classified or
@@ -244,7 +253,7 @@ class BenchmarkService:
                     "campaign": request.campaign_id,
                     "message": f"dataset resolution failed: {exc}",
                 }
-            )
+            ), True
             return
         hasher = identity_hasher(spec)
         cells = request.cell_keys()
@@ -316,10 +325,10 @@ class BenchmarkService:
                             f"{self._queue.maxsize} campaigns already queued"
                         ),
                     }
-                )
+                ), True
                 return
 
-        yield encode_event(
+        head = encode_event(
             {
                 "event": "accepted",
                 "campaign": request.campaign_id,
@@ -328,20 +337,21 @@ class BenchmarkService:
                 "pending": len(pending),
                 **({"rejected": len(rejected)} if rejected else {}),
             }
-        )
-        for line in hit_lines:
-            yield line
+        ) + b"".join(hit_lines)
 
         fresh_run_id: str | None = None
         failure: str | None = None
         awaiting_finish = job is not None
         while pending or awaiting_finish:
+            if head:
+                yield head, False
+                head = b""
             message = queue.get()
             kind = message[0]
             if kind == "cell":
                 _, digest, line = message
                 pending.discard(digest)
-                yield line
+                yield line, False
             elif kind == "finish":
                 awaiting_finish = False
                 fresh_run_id = message[1]
@@ -354,33 +364,27 @@ class BenchmarkService:
                 pending -= {digest for digest, _ in (job.owned if job else [])}
 
         if failure is not None:
-            yield encode_event(
-                {
-                    "event": "error",
-                    "campaign": request.campaign_id,
-                    "message": failure,
-                }
-            )
-            return
-        if rejected:
+            terminal = {
+                "event": "error",
+                "campaign": request.campaign_id,
+                "message": failure,
+            }
+        elif rejected:
             # Terminal degraded rejection: every cached cell above was
             # still served; the listed misses were refused without any
             # write.  Structured, never a 5xx.
-            yield encode_event(
-                {
-                    "event": "degraded",
-                    "campaign": request.campaign_id,
-                    "cells": len(cells),
-                    "hits": len(hit_lines),
-                    "rejected": len(rejected),
-                    "rejected_cells": [list(key) for key in rejected],
-                    "reasons": degraded_reasons,
-                    "retry_after_seconds": DEGRADED_RETRY_AFTER_SECONDS,
-                }
-            )
-            return
-        yield encode_event(
-            {
+            terminal = {
+                "event": "degraded",
+                "campaign": request.campaign_id,
+                "cells": len(cells),
+                "hits": len(hit_lines),
+                "rejected": len(rejected),
+                "rejected_cells": [list(key) for key in rejected],
+                "reasons": degraded_reasons,
+                "retry_after_seconds": DEGRADED_RETRY_AFTER_SECONDS,
+            }
+        else:
+            terminal = {
                 "event": "done",
                 "campaign": request.campaign_id,
                 "cells": len(cells),
@@ -388,13 +392,17 @@ class BenchmarkService:
                 "executed": len(owned),
                 "fresh_run_id": fresh_run_id,
             }
-        )
+        yield head + encode_event(terminal), True
 
     def submit_collect(
         self, request: CampaignRequest
     ) -> list[dict[str, object]]:
         """Decoded event list for one submission (test/in-process use)."""
-        return [json.loads(line) for line in self.submit_events(request)]
+        return [
+            json.loads(line)
+            for block, _ in self.submit_events(request)
+            for line in block.splitlines()
+        ]
 
     # -- cache ----------------------------------------------------------
 
@@ -785,8 +793,8 @@ class BenchmarkService:
 
     # -- watermarks / degraded mode --------------------------------------
 
-    def resource_watermarks(self) -> dict[str, object]:
-        """Current disk/memory readings against the configured floors."""
+    def _disk_usage(self) -> tuple[int | None, int | None]:
+        """(free, total) bytes at the archive root, or Nones if unreadable."""
         # The archive root is created lazily on first write; until then,
         # measure the nearest existing ancestor so a freshly started
         # server still sees disk pressure before it writes anything.
@@ -795,10 +803,13 @@ class BenchmarkService:
             probe = probe.parent
         try:
             disk = shutil.disk_usage(probe)
-            disk_free: int | None = disk.free
-            disk_total: int | None = disk.total
         except OSError:
-            disk_free = disk_total = None
+            return None, None
+        return disk.free, disk.total
+
+    def resource_watermarks(self) -> dict[str, object]:
+        """Current disk/memory readings against the configured floors."""
+        disk_free, disk_total = self._disk_usage()
         return {
             "disk_free_bytes": disk_free,
             "disk_total_bytes": disk_total,
@@ -817,26 +828,32 @@ class BenchmarkService:
         reasons: list[str] = []
         if self._draining:
             reasons.append("draining: server is shutting down")
-        marks = self.resource_watermarks()
-        free = marks["disk_free_bytes"]
+        free, _ = self._disk_usage()
         if free is not None and free < self.min_free_bytes:
             reasons.append(
                 f"disk critically low: {free} bytes free at "
                 f"{self.archive.root} (floor {self.min_free_bytes})"
             )
-        available = marks["memory_available_bytes"]
-        if (
-            self.min_available_memory_bytes
-            and available is not None
-            and available < self.min_available_memory_bytes
-        ):
-            reasons.append(
-                f"memory critically low: {available} bytes available "
-                f"(floor {self.min_available_memory_bytes})"
-            )
+        # This runs on every submission: read /proc/meminfo only when a
+        # memory floor is set.
+        if self.min_available_memory_bytes > 0:
+            available = available_memory_bytes()
+            if (
+                available is not None
+                and available < self.min_available_memory_bytes
+            ):
+                reasons.append(
+                    f"memory critically low: {available} bytes available "
+                    f"(floor {self.min_available_memory_bytes})"
+                )
         return reasons
 
     # -- introspection / lifecycle --------------------------------------
+
+    def note_client_disconnect(self) -> None:
+        """Count a client that hung up before its response was written."""
+        with self._lock:
+            self.stats["client_disconnects"] += 1
 
     def health(self) -> dict[str, object]:
         """Liveness + capacity payload for ``/health``.
@@ -993,16 +1010,27 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (ServiceError, json.JSONDecodeError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+        # One write per block: the headers ride with the first block
+        # (``accepted`` and every hit), and the last chunk with the final
+        # one, so an all-hit submission is answered in a single send.
+        head = (
+            f"{self.protocol_version} 200 OK\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/x-ndjson\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+        ).encode("latin-1")
         try:
-            for line in self.service.submit_events(request):
-                self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream; the engine finishes anyway
+            for block, final in self.service.submit_events(request):
+                self.wfile.write(
+                    b"%s%X\r\n%s\r\n%s"
+                    % (head, len(block), block, b"0\r\n\r\n" if final else b"")
+                )
+                head = b""
+        except ConnectionError:
+            # The client went away mid-stream; the engine finishes anyway.
+            self.close_connection = True
+            self.service.note_client_disconnect()
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -1013,6 +1041,14 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: BenchmarkService) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
+
+    def handle_error(self, request, client_address) -> None:
+        # A client hanging up is routine for a streaming service: count
+        # it instead of printing a traceback.  Anything else still prints.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            self.service.note_client_disconnect()
+        else:
+            super().handle_error(request, client_address)
 
 
 def serve_forever(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import struct
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -13,7 +18,9 @@ from repro.service import (
     CampaignRequest,
     ServiceClient,
     ServiceHTTPServer,
+    encode_event,
 )
+from repro.service import server as server_module
 
 pytestmark = pytest.mark.tier2
 
@@ -170,6 +177,61 @@ class TestMemoization:
         assert second[-1]["executed"] == 1
 
 
+class TestEventBlocks:
+    """How a submission's events are grouped into writes."""
+
+    def test_all_hit_submission_is_one_final_block(self, service):
+        service.submit_collect(_request())
+        blocks = list(service.submit_events(_request()))
+        assert len(blocks) == 1
+        block, final = blocks[0]
+        assert final is True
+        kinds = [json.loads(line)["event"] for line in block.splitlines()]
+        assert kinds == ["accepted", "cell", "cell", "done"]
+
+    def test_executed_cells_stream_one_block_each(self, service):
+        blocks = list(service.submit_events(_request()))
+        kinds = [
+            [json.loads(line)["event"] for line in block.splitlines()]
+            for block, _ in blocks
+        ]
+        assert kinds == [["accepted"], ["cell"], ["cell"], ["done"]]
+        assert [final for _, final in blocks] == [False, False, False, True]
+
+
+class TestAdmissionCheck:
+    def test_no_memory_floor_never_reads_meminfo(self, service, monkeypatch):
+        calls = []
+
+        def reading():
+            calls.append(1)
+            return 1 << 40
+
+        monkeypatch.setattr(server_module, "available_memory_bytes", reading)
+        service.min_available_memory_bytes = 0
+        events = service.submit_collect(_request())
+        assert events[-1]["event"] == "done"
+        assert calls == []
+        # /health still reports the reading.
+        assert service.health()["watermarks"]["memory_available_bytes"] == 1 << 40
+
+    def test_memory_floor_still_rejects_misses(self, service, monkeypatch):
+        calls = []
+
+        def reading():
+            calls.append(1)
+            return 1024
+
+        monkeypatch.setattr(server_module, "available_memory_bytes", reading)
+        service.min_available_memory_bytes = 1 << 20
+        events = service.submit_collect(_request())
+        assert events[-1]["event"] == "degraded"
+        assert events[-1]["rejected"] == 2
+        assert any("memory critically low" in r for r in events[-1]["reasons"])
+        assert calls
+        assert service.stats["cells_executed"] == 0
+
+
 class TestCoalescing:
     def test_concurrent_identical_submissions_execute_once(self, service):
         request = _request()
@@ -276,3 +338,124 @@ class TestHTTP:
         client = ServiceClient("127.0.0.1", 1)  # nothing listens on port 1
         with pytest.raises(ServiceError, match="unreachable"):
             client.status()
+
+    @pytest.fixture()
+    def connects(self, monkeypatch):
+        """Every ``HTTPConnection.connect`` made during the test."""
+        made = []
+        connect = http.client.HTTPConnection.connect
+
+        def counted(conn):
+            made.append(conn)
+            return connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+        return made
+
+    def test_hits_reuse_one_connection(self, endpoint, service, connects):
+        """One submission, one POST: the keep-alive connection is reused."""
+        service.submit_collect(_request())
+        before = service.stats["submissions"]
+        host, port = endpoint
+        with ServiceClient(host, port) as client:
+            payloads = [
+                json.dumps(client.submit_and_collect(_request()), sort_keys=True)
+                for _ in range(20)
+            ]
+        assert len(connects) == 1
+        assert service.stats["submissions"] - before == 20
+        assert all(payload == payloads[0] for payload in payloads)
+        assert json.loads(payloads[0])[-1]["executed"] == 0
+
+    def test_miss_on_reused_connection_streams_each_cell(
+        self, endpoint, service, connects
+    ):
+        service.submit_collect(_request(kernels=("bfs",)))
+        host, port = endpoint
+        with ServiceClient(host, port) as client:
+            client.submit_and_collect(_request(kernels=("bfs",)))
+            events = client.submit_and_collect(_request(kernels=("cc", "pr")))
+        assert len(connects) == 1
+        assert [e["event"] for e in events] == ["accepted", "cell", "cell", "done"]
+        assert events[0]["pending"] == 2
+        assert all(not c["cached"] for c in _cells(events))
+        assert events[-1]["executed"] == 2
+
+    def test_stream_torn_after_terminal_event_is_not_resubmitted(self):
+        """A response cut before its last chunk still yields one submission."""
+        events = [
+            {"event": "accepted", "campaign": "c", "cells": 1, "hits": 1, "pending": 0},
+            {"event": "cell", "digest": "d", "cell": ["urand", "baseline", "bfs", "gap"]},
+            {"event": "done", "campaign": "c", "cells": 1, "hits": 1, "executed": 0},
+        ]
+        posts = []
+
+        class TornTail(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                posts.append(self.path)
+                self.send_response(200)
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                for event in events:
+                    line = encode_event(event)
+                    self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
+                self.close_connection = True  # hang up before the last chunk
+
+        server = HTTPServer(("127.0.0.1", 0), TornTail)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            with ServiceClient(host, port, backoff=0.01) as client:
+                got = client.submit_and_collect(_request())
+                # The dropped connection is replaced on the next call.
+                again = client.submit_and_collect(_request())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(10.0)
+        assert got == again == events
+        assert posts == ["/submit", "/submit"]
+
+    def test_client_hanging_up_is_counted_not_printed(
+        self, endpoint, service, capsys
+    ):
+        host, port = endpoint
+        body = json.dumps(_request().as_dict()).encode()
+        sock = socket.create_connection((host, port))
+        sock.sendall(
+            b"POST /submit HTTP/1.1\r\nHost: x\r\nContent-Type: application/json"
+            b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        # Linger 0: close with a reset, as a killed client would.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 60
+        while service.stats["client_disconnects"] < 1:
+            assert time.monotonic() < deadline, "disconnect never counted"
+            time.sleep(0.01)
+        # Let the campaign the dropped request started finish.
+        while service.status()["inflight_cells"]:
+            assert time.monotonic() < deadline, "campaign never finished"
+            time.sleep(0.01)
+        assert service.stats["client_disconnects"] == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_other_handler_errors_still_print(self, service, capsys):
+        server = ServiceHTTPServer(("127.0.0.1", 0), service)
+        try:
+            try:
+                raise RuntimeError("handler bug")
+            except RuntimeError:
+                server.handle_error(None, ("127.0.0.1", 1))
+        finally:
+            server.server_close()
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "handler bug" in err
+        assert service.stats["client_disconnects"] == 0
