@@ -99,15 +99,16 @@ def _campaign_walls(cache: GraphCache) -> dict[str, float]:
     walls: dict[str, float] = {}
 
     walls["serial"] = _time_repeats(
-        lambda: run_suite(frameworks, GRAPHS, spec=SPEC, jobs=1, **common)
+        lambda: run_suite(frameworks, GRAPHS, spec=SPEC, **common)
     )
 
     cold_spec = BenchmarkSpec(
-        scale=BENCH_SCALE, trials={k: TRIALS for k in KERNELS_USED}, batch_size=1
+        scale=BENCH_SCALE, trials={k: TRIALS for k in KERNELS_USED}, jobs=2,
+        batch_size=1,
     )
     walls["cold_spawn_jobs2"] = _time_repeats(
         lambda: run_suite_parallel(
-            frameworks, GRAPHS, spec=cold_spec, jobs=2, **common
+            frameworks, GRAPHS, spec=cold_spec, **common
         )
     )
 
@@ -115,7 +116,7 @@ def _campaign_walls(cache: GraphCache) -> dict[str, float]:
         with WorkerPool(jobs) as pool:  # spawned once, outside the timing
             walls[f"warm_pool_jobs{jobs}"] = _time_repeats(
                 lambda: run_suite_parallel(
-                    frameworks, GRAPHS, spec=SPEC, jobs=jobs, pool=pool, **common
+                    frameworks, GRAPHS, spec=SPEC, pool=pool, **common
                 )
             )
     return walls

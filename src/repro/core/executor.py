@@ -1,19 +1,27 @@
-"""Parallel campaign executor: a warm process pool over shared memory.
+"""Campaign state and the warm-pool way of executing its cells.
 
-``run_suite`` executes the paper's 6×6×5×2 campaign serially in one
-process; at that point campaign wall time, not kernel time, bounds how
-fast the reproduction can iterate.  ``run_suite_parallel`` shards the
-independent (framework, kernel, graph, mode) cells across a
-:class:`~repro.core.pool.WorkerPool`.  Workers are *warm*: spawned once
-per pool, reusable across campaigns via a pool handle, configured per
-campaign by message, attaching the shared-memory corpus lazily
-(:mod:`repro.core.sharedmem`) and unpickling frameworks on first use.
-Each worker reports over its own pipe, so a killed worker can lose only
-its own channel.  Process isolation turns ``BenchmarkSpec.trial_timeout``
-into a **hard** deadline: a worker stuck inside one long C call is
-killed by the parent once its cell exceeds its trial budgets, the cell
-is recorded as a ``timeout`` result, and a respawned worker keeps the
-campaign going.
+A campaign is one loop over one :class:`_CampaignState`, which owns every
+piece of bookkeeping that does not depend on where a cell runs: resume
+pre-fill, canonical result assembly, retry scheduling, circuit-breaker
+skips, journal appends, ``on_result`` and strict fail-fast.  A cell
+executes one of two ways, both through
+:func:`~repro.core.runner.execute_cell`: in the caller's process (the
+serial walk in :mod:`repro.core.runner`), or on a warm worker process,
+as this module arranges.  The serial walk alone keeps one graph case
+resident, sleeps a retry's backoff inline, and has only the soft SIGALRM
+deadline.
+
+On the pool, the independent (framework, kernel, graph, mode) cells are
+sharded across a :class:`~repro.core.pool.WorkerPool`.  Workers are
+*warm*: spawned once per pool, reusable across campaigns via a pool
+handle, configured per campaign by message, attaching the shared-memory
+corpus lazily (:mod:`repro.core.sharedmem`) and unpickling frameworks on
+first use.  Each worker reports over its own pipe, so a killed worker can
+lose only its own channel.  Process isolation turns
+``BenchmarkSpec.trial_timeout`` into a **hard** deadline: a worker stuck
+inside one long C call is killed by the parent once its cell exceeds its
+trial budgets, the cell is recorded as a ``timeout`` result, and a
+respawned worker keeps the campaign going.
 
 Dispatch is **batched** (:mod:`repro.core.batching`): the parent hands a
 worker a contiguous run of cells per message, sized by a trial-count
@@ -24,11 +32,12 @@ records cells individually, and retry/breaker decisions act on cells.
 Timeout-sensitive cells are planned as singleton batches so the hard
 kill can never destroy a sibling queued behind a hung cell.
 
-Every cell still runs the exact serial measurement protocol
+Every cell runs the same measurement protocol
 (:func:`~repro.core.runner.run_cell`): sources, counters, verification,
-and statuses are identical to ``jobs=1`` — only wall-clock parallelism
-and the kill guarantee differ.  ``tests/test_executor_matrix.py`` pins
-that equivalence across serial, per-cell, and batched execution.
+and statuses are identical to the serial walk — only wall-clock
+parallelism and the kill guarantee differ.
+``tests/test_executor_matrix.py`` pins that equivalence across serial,
+per-cell, and batched execution.
 
 Dispatch is **parent-driven**: instead of pre-queuing the whole
 campaign, the parent hands out one batch per free worker slot and keeps
@@ -63,10 +72,10 @@ from ..resilience.retry import RetryPolicy
 from .batching import Cell, plan_batches
 from .pool import WorkerPool
 from .results import ResultSet, RunResult
-from .runner import _failed_result, _skip_span, _skipped_result, build_case, run_cell
+from .runner import build_case, execute_cell
 from .sharedmem import SharedCase, attach_case
 from .spec import BenchmarkSpec
-from .telemetry import STATUS_ERROR, STATUS_TIMEOUT, Span, Telemetry
+from .telemetry import STATUS_ERROR, STATUS_SKIPPED, STATUS_TIMEOUT, Span, Telemetry
 
 if TYPE_CHECKING:  # layering: the journal lives above repro.core
     from ..resilience.journal import CheckpointJournal
@@ -82,11 +91,6 @@ _POLL_SECONDS = 0.05
 #: Extra wall-clock headroom past a cell's summed trial budgets before the
 #: parent hard-kills the worker (covers prepare/verify and IPC latency).
 DEFAULT_KILL_GRACE_SECONDS = 2.0
-
-#: One assigned batch: the (cell, attempt) pairs a worker has not yet
-#: reported back, in execution order — the head is the in-flight cell.
-_Assignment = "deque[tuple[Cell, int]]"
-
 
 def _cell_budget(spec: BenchmarkSpec, kernel: str, grace: float) -> float:
     """Hard wall-clock budget for one cell (sum of trial deadlines + grace)."""
@@ -111,16 +115,20 @@ def _enumerate_cells(
     return cells
 
 
+def _cell_attributes(cell: Cell) -> dict[str, str]:
+    return {
+        "framework": cell.framework,
+        "kernel": cell.kernel,
+        "graph": cell.graph,
+        "mode": cell.mode.value,
+    }
+
+
 def _killed_cell_span(cell: Cell, status: str, message: str, wall: float) -> Span:
     """Parent-side span for a cell whose worker never reported back."""
     span = Span(
         name="cell",
-        attributes={
-            "framework": cell.framework,
-            "kernel": cell.kernel,
-            "graph": cell.graph,
-            "mode": cell.mode.value,
-        },
+        attributes=_cell_attributes(cell),
         status=status,
         wall_seconds=wall,
     )
@@ -133,12 +141,14 @@ def _killed_cell_span(cell: Cell, status: str, message: str, wall: float) -> Spa
 
 
 class _CampaignState:
-    """Per-cell accounting of one parallel campaign.
+    """Per-cell accounting of one campaign, whichever way its cells execute.
 
-    Owns everything that is independent of the worker transport:
-    canonical result assembly, the pending batch queue, retry scheduling,
-    circuit-breaker skips (including pruning queued batches), journal
-    appends, and strict-mode fail-fast.
+    Owns everything that is independent of how a cell runs: canonical
+    result assembly, resume pre-fill, the pending batch queue, retry
+    scheduling, circuit-breaker skips (including pruning queued batches),
+    journal appends, ``on_result`` and strict-mode fail-fast.  The serial
+    walk (:func:`repro.core.runner._run_serial`) and the pool supervisor
+    (:func:`_run_pooled`) both drive it.
     """
 
     def __init__(
@@ -187,46 +197,54 @@ class _CampaignState:
         for batch in batches:
             self.pending.append([(cell, 0) for cell in batch])
 
-    def record_skip(self, cell: Cell) -> None:
-        """Account a cell the open circuit breaker short-circuited."""
+    def skip_if_open(self, cell: Cell) -> bool:
+        """Record ``cell`` as ``skipped`` if its combo's breaker is open.
+
+        The skip's telemetry span is built directly (nothing executes): it
+        carries zero wall time and the skip reason, keeping the trace one
+        record per cell.
+        """
+        if not self.breaker.is_open(cell.framework, cell.kernel):
+            return False
         reason = self.breaker.reason(cell.framework, cell.kernel)
-        result = _skipped_result(
-            cell.framework, cell.kernel, cell.graph, cell.mode, reason
-        )
+        result = RunResult.failed(cell, STATUS_SKIPPED, reason)
         self.results_by_index[cell.index] = result
         self.completed_count += 1
         self.tel.ingest(
-            _skip_span(cell.framework, cell.kernel, cell.graph, cell.mode, reason)
+            Span(
+                name="cell",
+                attributes={**_cell_attributes(cell), "skip_reason": reason},
+                status=STATUS_SKIPPED,
+            )
         )
         if self.journal is not None:
             self.journal.record(result)
         if self.on_result is not None:
             self.on_result(cell, result)
+        return True
+
+    def _unskipped(self, batch: list[tuple[Cell, int]]) -> list[tuple[Cell, int]]:
+        """``batch`` without the members an open breaker skips.
+
+        Members are pruned *individually*: surviving cells of a batch stay
+        batched.
+        """
+        return [
+            (cell, attempt) for cell, attempt in batch if not self.skip_if_open(cell)
+        ]
 
     def prune_open_batches(self) -> None:
-        """Strip newly opened combos out of still-queued batches.
-
-        Batch members are pruned *individually*: surviving cells of a
-        batch stay batched, and a batch emptied entirely is dropped.
-        """
-        kept: deque[list[tuple[Cell, int]]] = deque()
-        for batch in self.pending:
-            surviving = []
-            for cell, attempt in batch:
-                if self.breaker.is_open(cell.framework, cell.kernel):
-                    self.record_skip(cell)
-                else:
-                    surviving.append((cell, attempt))
-            if surviving:
-                kept.append(surviving)
-        self.pending = kept
+        """Strip newly opened combos out of still-queued batches."""
+        self.pending = deque(
+            kept for kept in map(self._unskipped, self.pending) if kept
+        )
 
     def finalize(self, cell: Cell, result: RunResult, attempt: int) -> None:
         """Commit a cell's final result: journal, breaker, strict check.
 
-        Strict mode raises *before* committing anything, matching the
-        serial path: the failing cell is never journaled, so a resumed
-        campaign re-executes it instead of restoring the failure.
+        Strict mode raises *before* committing anything: the failing cell
+        is never journaled, so a resumed campaign re-executes it instead
+        of restoring the failure.
         """
         if self.strict and not result.ok:
             if result.status == STATUS_TIMEOUT:
@@ -245,11 +263,15 @@ class _CampaignState:
         if opened:
             self.prune_open_batches()
 
-    def settle(self, cell: Cell, result: RunResult, attempt: int) -> None:
-        """Route one executed attempt: finalize it or schedule a retry."""
-        if result.ok or not self.policy.should_retry(
+    def wants_retry(self, result: RunResult, attempt: int) -> bool:
+        """Whether this attempt's failure is transient and within budget."""
+        return not result.ok and self.policy.should_retry(
             result.status, result.error, attempt
-        ):
+        )
+
+    def settle(self, cell: Cell, result: RunResult, attempt: int) -> None:
+        """Route one pool-executed attempt: finalize it or queue a retry."""
+        if not self.wants_retry(result, attempt):
             self.finalize(cell, result, attempt)
             return
         self.retry_waiting.append(
@@ -259,28 +281,17 @@ class _CampaignState:
     def next_batch(self) -> list[tuple[Cell, int]] | None:
         """Pop the next dispatchable batch, skipping open-breaker cells."""
         while self.pending:
-            batch = self.pending.popleft()
-            surviving = []
-            for cell, attempt in batch:
-                if self.breaker.is_open(cell.framework, cell.kernel):
-                    self.record_skip(cell)
-                else:
-                    surviving.append((cell, attempt))
-            if surviving:
-                return surviving
+            batch = self._unskipped(self.pending.popleft())
+            if batch:
+                return batch
         return None
 
     def due_retries(self, now: float) -> list[tuple[Cell, int]]:
         """Pop retries whose backoff has elapsed (breaker-skips applied)."""
-        due = []
-        for entry in [e for e in self.retry_waiting if e[0] <= now]:
+        due = [entry for entry in self.retry_waiting if entry[0] <= now]
+        for entry in due:
             self.retry_waiting.remove(entry)
-            _, cell, attempt = entry
-            if self.breaker.is_open(cell.framework, cell.kernel):
-                self.record_skip(cell)
-            else:
-                due.append((cell, attempt))
-        return due
+        return self._unskipped([(cell, attempt) for _, cell, attempt in due])
 
     def result_set(self) -> ResultSet:
         return ResultSet(
@@ -294,7 +305,6 @@ def run_suite_parallel(
     kernels: Iterable[str] = KERNELS,
     modes: Iterable[Mode] = (Mode.BASELINE, Mode.OPTIMIZED),
     spec: BenchmarkSpec | None = None,
-    jobs: int = 2,
     progress: Callable[[str], None] | None = None,
     telemetry: Telemetry | None = None,
     strict: bool = False,
@@ -307,40 +317,55 @@ def run_suite_parallel(
 ) -> ResultSet:
     """Run a campaign over a process pool; see the module docstring.
 
-    Prefer calling ``run_suite(..., jobs=N)``, which dispatches here; this
-    entry point additionally exposes ``kill_grace`` (headroom past a
-    cell's trial budgets before the hard kill) and ``pool`` — a warm
-    :class:`~repro.core.pool.WorkerPool` to reuse across campaigns (the
-    caller keeps ownership; without one, a pool is created and shut down
-    within this call).  ``journal`` receives every finalized cell;
-    ``completed`` (cell key → result, from a resumed journal) pre-fills
-    those cells — they are neither re-executed nor re-journaled, and
-    their graphs are not even exported if no other cell needs them.
-    ``on_result`` is invoked in the parent, once per finalized cell
-    (including breaker skips, excluding pre-filled ``completed`` cells),
-    right after the journal append — the benchmark service streams each
-    cell to subscribed clients from exactly this point.
+    ``run_suite`` with ``spec.jobs > 1`` executes the same way and adds
+    the campaign meta; this entry point additionally exposes
+    ``kill_grace`` (headroom past a cell's trial budgets before the hard
+    kill) and ``pool`` — a warm :class:`~repro.core.pool.WorkerPool` to
+    reuse across campaigns (the caller keeps ownership and its
+    ``pool.jobs`` sets the parallelism; without one, a pool of
+    ``spec.jobs`` workers is created and shut down within this call).
+    ``journal`` receives every finalized cell; ``completed`` (cell key →
+    result, from a resumed journal) pre-fills those cells — they are
+    neither re-executed nor re-journaled, and their graphs are not even
+    exported if no other cell needs them.  ``on_result`` is invoked in the
+    parent, once per finalized cell (including breaker skips, excluding
+    pre-filled ``completed`` cells), right after the journal append — the
+    benchmark service streams each cell to subscribed clients from
+    exactly this point.
     """
     spec = spec or BenchmarkSpec()
-    tel = telemetry if telemetry is not None else Telemetry()
     framework_list = list(frameworks)
-    frameworks_by_name = {fw.name: fw for fw in framework_list}
-    cells = _enumerate_cells(
-        framework_list, list(graph_names), list(modes), list(kernels)
+    state = _CampaignState(
+        _enumerate_cells(framework_list, list(graph_names), list(modes), list(kernels)),
+        spec,
+        telemetry if telemetry is not None else Telemetry(),
+        journal,
+        strict,
+        completed,
+        on_result,
     )
-    if not cells:
-        return ResultSet()
+    _run_pooled(state, framework_list, cache, progress, kill_grace, pool)
+    return state.result_set()
 
-    state = _CampaignState(cells, spec, tel, journal, strict, completed, on_result)
+
+def _run_pooled(
+    state: _CampaignState,
+    frameworks: list[Framework],
+    cache: GraphCache | None,
+    progress: Callable[[str], None] | None,
+    kill_grace: float = DEFAULT_KILL_GRACE_SECONDS,
+    pool: WorkerPool | None = None,
+) -> None:
+    """Execute a campaign's runnable cells on a warm worker pool."""
     if state.done:
-        return state.result_set()
+        return
+    spec, tel, cells = state.spec, state.tel, state.cells
+    frameworks_by_name = {fw.name: fw for fw in frameworks}
     runnable = state.runnable()
     needed_graphs = {cell.graph for cell in runnable}
 
     own_pool = pool is None
-    worker_count = (
-        max(1, min(int(jobs), len(runnable))) if own_pool else pool.jobs
-    )
+    worker_count = max(1, min(spec.jobs, len(runnable))) if own_pool else pool.jobs
     state.queue_batches(plan_batches(runnable, spec, worker_count, spec.batch_size))
 
     shared: dict[str, SharedCase] = {}
@@ -387,21 +412,10 @@ def run_suite_parallel(
         begun = time.monotonic()
         attachment = attach_case(shared[cell.graph].handle)
         try:
-            framework = frameworks_by_name[cell.framework]
-            case = attachment.case
-            try:
-                result = run_cell(
-                    framework, cell.kernel, case, cell.mode, spec,
-                    telemetry=tel, attempt=attempt,
-                )
-            except TrialTimeoutError as exc:
-                result = _failed_result(
-                    framework, cell.kernel, case, cell.mode, "timeout", exc
-                )
-            except Exception as exc:
-                result = _failed_result(
-                    framework, cell.kernel, case, cell.mode, "error", exc
-                )
+            result = execute_cell(
+                cell, frameworks_by_name.__getitem__, lambda _graph: attachment.case,
+                spec, tel, attempt=attempt,
+            )
         finally:
             attachment.close()
         state.settle(cell, result, attempt)
@@ -506,21 +520,12 @@ def run_suite_parallel(
                     state.pending.appendleft(tail)
                 if not alive:
                     deaths[head_cell.index] = deaths.get(head_cell.index, 0) + 1
-                lost = RunResult(
-                    framework=head_cell.framework,
-                    kernel=head_cell.kernel,
-                    graph=head_cell.graph,
-                    mode=head_cell.mode,
-                    trial_seconds=[],
-                    verified=False,
-                    status=status,
-                    error=message_text,
-                )
                 tel.ingest(
                     _killed_cell_span(
                         head_cell, status, message_text, now - started[slot]
                     )
                 )
+                lost = RunResult.failed(head_cell, status, message_text)
                 state.settle(head_cell, lost, head_attempt)
                 # Respawning kills an overdue worker and closes its channel,
                 # so a result it might still send can never be counted —

@@ -40,16 +40,12 @@ import multiprocessing
 import pickle
 import signal
 from multiprocessing import connection
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .results import RunResult
-from .runner import _failed_result, run_cell
+from .runner import execute_cell
 from .sharedmem import AttachedCase, SharedCaseHandle, attach_case
 from .spec import BenchmarkSpec
 from .telemetry import Telemetry
-
-if TYPE_CHECKING:
-    from .batching import Cell
 
 __all__ = ["WorkerPool"]
 
@@ -83,20 +79,6 @@ class _LazyCorpus:
         for attachment in self._attached.values():
             attachment.close()
         self._attached.clear()
-
-
-def _infra_failed_result(cell: "Cell", exc: BaseException) -> RunResult:
-    """A cell that failed before its framework/graph even materialized."""
-    return RunResult(
-        framework=cell.framework,
-        kernel=cell.kernel,
-        graph=cell.graph,
-        mode=cell.mode,
-        trial_seconds=[],
-        verified=False,
-        status="error",
-        error=f"{type(exc).__name__}: {exc}",
-    )
 
 
 def _worker_main(slot: int, conn, parent_end) -> None:
@@ -137,27 +119,9 @@ def _worker_main(slot: int, conn, parent_end) -> None:
                 continue
             for cell, attempt in task[1]:
                 conn.send(("start", slot, cell.index, attempt))
-                try:
-                    case = corpus.get(cell.graph)
-                    framework = frameworks.get(cell.framework)
-                except Exception as exc:
-                    result = _infra_failed_result(cell, exc)
-                else:
-                    from ..errors import TrialTimeoutError
-
-                    try:
-                        result = run_cell(
-                            framework, cell.kernel, case, cell.mode, spec,
-                            telemetry=telemetry, attempt=attempt,
-                        )
-                    except TrialTimeoutError as exc:
-                        result = _failed_result(
-                            framework, cell.kernel, case, cell.mode, "timeout", exc
-                        )
-                    except Exception as exc:
-                        result = _failed_result(
-                            framework, cell.kernel, case, cell.mode, "error", exc
-                        )
+                result = execute_cell(
+                    cell, frameworks.get, corpus.get, spec, telemetry, attempt=attempt
+                )
                 spans = [span.as_dict() for span in telemetry.spans]
                 telemetry.spans.clear()
                 conn.send(("cell", slot, cell.index, attempt, result, spans))

@@ -24,8 +24,12 @@ import statistics
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..frameworks.base import Mode
+
+if TYPE_CHECKING:
+    from .batching import Cell
 
 __all__ = ["RESULTS_SCHEMA_VERSION", "RunResult", "ResultSet"]
 
@@ -52,6 +56,29 @@ class RunResult:
     status: str = "ok"
     error: str = ""
     attempts: int = 1
+
+    @classmethod
+    def failed(
+        cls, cell: "Cell", status: str, error: "str | BaseException"
+    ) -> "RunResult":
+        """The record of a cell that produced no measurement.
+
+        One constructor for every way a cell ends without trials: a kernel
+        or worker failure (``error``/``timeout``) and a breaker skip.  An
+        exception is recorded as ``"Type: message"``.
+        """
+        if isinstance(error, BaseException):
+            error = f"{type(error).__name__}: {error}"
+        return cls(
+            framework=cell.framework,
+            kernel=cell.kernel,
+            graph=cell.graph,
+            mode=cell.mode,
+            trial_seconds=[],
+            verified=False,
+            status=status,
+            error=error,
+        )
 
     @property
     def ok(self) -> bool:

@@ -18,46 +18,63 @@ Every cell runs inside a telemetry span (see :mod:`repro.core.telemetry`):
 wall time per trial, prepare/kernel/verify phase times, a work-counter
 snapshot, optional peak memory, and an outcome status.  ``run_cell``
 raises on failure (callers that benchmark a single cell want the
-traceback); ``run_suite`` isolates faults by default — a crashing or
-hanging framework cell becomes a recorded ``error``/``timeout`` result
-and the campaign continues — unless ``strict=True`` restores fail-fast.
+traceback); ``execute_cell`` is the campaign's one wrapper around it,
+turning a crashing or hanging cell into a recorded ``error``/``timeout``
+result so the campaign continues, unless ``strict=True`` restores
+fail-fast.
 
-On top of isolation, ``run_suite`` layers the resilience machinery
-(:mod:`repro.resilience`): every completed cell is durably appended to a
-checkpoint ``journal`` (and ``resume=True`` skips cells the journal
-already holds), transient failures are retried per ``spec.retries`` with
-deterministic backoff, a per-(framework, kernel) circuit breaker converts
-the remainder of a persistently failing combo into ``skipped`` results,
-and SIGTERM unwinds the campaign cleanly instead of killing it mid-cell.
+A campaign is one loop over one state, whatever its topology:
+:class:`repro.core.executor._CampaignState` owns canonical result
+assembly, resume pre-fill from the checkpoint ``journal``, retries of
+transient failures with deterministic backoff, the per-(framework,
+kernel) circuit breaker that turns the rest of a persistently failing
+combo into ``skipped`` results, journal appends, and strict fail-fast.
+``run_suite`` builds that state and executes the cells one of two ways:
+in this process (``spec.jobs == 1``, the walk below), or on a warm
+worker pool (:mod:`repro.core.executor`).  Only the in-process walk keeps
+a single graph case resident, sleeps a retry's backoff inline, and
+enforces the trial deadline softly with SIGALRM; the pool hard-kills an
+over-budget worker.  SIGTERM unwinds either cleanly instead of killing
+the campaign mid-cell.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
+from ..errors import TrialTimeoutError
 from ..frameworks.base import KERNELS, Framework, Mode, RunContext
 from ..generators import build_graph, weighted_version
 from ..graphs import CSRGraph
 from ..graphs.cache import GraphCache
 # Submodule-direct imports: repro.resilience.journal sits above repro.core
 # (it needs RunResult), so the journal is imported lazily in run_suite; the
-# fault/retry/breaker/signal modules below are layering-free.
-from ..resilience.breaker import CircuitBreaker
+# fault and signal modules below are layering-free.
 from ..resilience.faults import active_plan, corrupt_cache, fire, transform_output
-from ..resilience.retry import RetryPolicy
 from ..resilience.signals import graceful_shutdown
 from . import counters as counters_mod
 from . import verify
 from .memory import track_peak_memory
 from .results import ResultSet, RunResult
 from .spec import BenchmarkSpec, SourcePicker
-from .telemetry import STATUS_OK, STATUS_SKIPPED, Span, Telemetry, TrialDeadline
+from .telemetry import (
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    Span,
+    Telemetry,
+    TrialDeadline,
+)
 
-__all__ = ["GraphCase", "build_case", "run_cell", "run_suite"]
+if TYPE_CHECKING:
+    from .batching import Cell
+    from .executor import _CampaignState
+
+__all__ = ["GraphCase", "build_case", "execute_cell", "run_cell", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -442,63 +459,78 @@ def run_cell(
     )
 
 
-def _failed_result(
-    framework: Framework,
-    kernel: str,
-    case: GraphCase,
-    mode: Mode,
-    status: str,
-    exc: BaseException,
+def execute_cell(
+    cell: "Cell",
+    framework_of: Callable[[str], Framework],
+    case_of: Callable[[str], GraphCase],
+    spec: BenchmarkSpec,
+    telemetry: Telemetry,
+    attempt: int = 0,
+    strict: bool = False,
 ) -> RunResult:
-    return RunResult(
-        framework=framework.name,
-        kernel=kernel,
-        graph=case.name,
-        mode=mode,
-        trial_seconds=[],
-        verified=False,
-        status=status,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+    """Run one campaign cell, turning its failure into a result.
 
-
-def _skipped_result(
-    framework_name: str, kernel: str, graph_name: str, mode: Mode, reason: str
-) -> RunResult:
-    """A structured ``skipped`` cell (circuit breaker open; never executed)."""
-    return RunResult(
-        framework=framework_name,
-        kernel=kernel,
-        graph=graph_name,
-        mode=mode,
-        trial_seconds=[],
-        verified=False,
-        status=STATUS_SKIPPED,
-        error=reason,
-    )
-
-
-def _skip_span(
-    framework_name: str, kernel: str, graph_name: str, mode: Mode, reason: str
-) -> Span:
-    """The telemetry record of a breaker-skipped cell.
-
-    Built directly (not via ``Telemetry.span``) because nothing executes:
-    the span carries zero wall time and the skip reason, keeping the trace
-    one-record-per-cell even for cells the breaker short-circuited.
+    The one place a campaign calls :func:`run_cell`, whichever way the
+    cell executes: the serial walk, a warm-pool worker, or the parent's
+    crash-loop fallback.  The cell's case and framework are resolved
+    through ``case_of`` / ``framework_of`` inside the isolation, so a
+    worker that cannot attach a graph or unpickle a framework records an
+    ``error`` like any kernel failure.  A deadline overrun becomes a
+    ``timeout`` result, any other exception an ``error`` result;
+    ``strict=True`` re-raises the cell's own exception instead.
     """
-    span = Span(
-        name="cell",
-        attributes={
-            "framework": framework_name,
-            "kernel": kernel,
-            "graph": graph_name,
-            "mode": mode.value,
-            "skip_reason": reason,
-        },
-        status=STATUS_SKIPPED,
-    )
-    return span
+    try:
+        case = case_of(cell.graph)
+        framework = framework_of(cell.framework)
+        return run_cell(
+            framework, cell.kernel, case, cell.mode, spec,
+            telemetry=telemetry, attempt=attempt,
+        )
+    except Exception as exc:
+        if strict:
+            raise
+        status = STATUS_TIMEOUT if isinstance(exc, TrialTimeoutError) else STATUS_ERROR
+        return RunResult.failed(cell, status, exc)
+
+
+def _run_serial(
+    state: "_CampaignState",
+    frameworks: list[Framework],
+    cache: GraphCache | None,
+    progress: Callable[[str], None] | None,
+) -> None:
+    """Execute a campaign's runnable cells in this process, in order.
+
+    What only this walk does: one case is resident at a time (built when
+    its graph's first runnable cell comes up, released before the next
+    graph's case is built, and never built for a fully resumed graph),
+    a retry sleeps its backoff inline before re-running the cell, the
+    trial deadline is the soft SIGALRM one, and strict mode re-raises the
+    failing cell's own exception.
+    """
+    frameworks_by_name = {framework.name: framework for framework in frameworks}
+    resident: dict[str, GraphCase] = {}
+    for cell in state.runnable():
+        if cell.graph not in resident:
+            resident.clear()  # drop the previous graph before building this one
+            resident[cell.graph] = build_case(
+                cell.graph, state.spec, cache, telemetry=state.tel
+            )
+        if progress is not None:
+            progress(cell.label)
+        if state.skip_if_open(cell):
+            continue
+        attempt = 0
+        while True:
+            result = execute_cell(
+                cell, frameworks_by_name.__getitem__, resident.__getitem__,
+                state.spec, state.tel, attempt=attempt, strict=state.strict,
+            )
+            if not state.wants_retry(result, attempt):
+                break
+            state.policy.sleep(attempt)
+            attempt += 1
+        state.finalize(cell, result, attempt)
 
 
 def run_suite(
@@ -510,7 +542,6 @@ def run_suite(
     progress: Callable[[str], None] | None = None,
     telemetry: Telemetry | None = None,
     strict: bool = False,
-    jobs: int | None = None,
     cache: GraphCache | None = None,
     journal: "str | None" = None,
     resume: bool = False,
@@ -521,17 +552,15 @@ def run_suite(
     campaign: exceptions and deadline overruns become structured
     ``error``/``timeout`` results (traced by ``telemetry``) and every
     other cell still runs.  ``strict=True`` restores fail-fast: the first
-    failing cell re-raises.
+    failing cell raises.
 
-    ``jobs`` (default ``spec.jobs``) > 1 dispatches to the parallel
-    executor (:mod:`repro.core.executor`), which shards batches of cells
-    across warm worker processes over a shared-memory corpus and turns
-    the per-trial deadline into a *hard* kill.  ``jobs=1`` is the
-    in-process serial path, where the deadline is soft (see
-    :class:`TrialDeadline`).  ``cache`` routes graph building through a
-    persistent on-disk cache.
-
-    Resilience layer (both paths):
+    ``spec.jobs`` picks how cells execute: ``1`` walks them in this
+    process, where the deadline is soft (see :class:`TrialDeadline`);
+    more shards batches of cells across warm worker processes over a
+    shared-memory corpus (:mod:`repro.core.executor`), which turns the
+    per-trial deadline into a *hard* kill.  Either way one campaign state
+    does the bookkeeping below.  ``cache`` routes graph building through
+    a persistent on-disk cache.
 
     * ``journal`` — path of a checkpoint journal; every completed cell is
       durably appended.  With ``resume=True`` an existing journal is
@@ -547,15 +576,15 @@ def run_suite(
       journal is flushed and resources are released on the way out.
     """
     spec = spec or BenchmarkSpec()
-    effective_jobs = spec.jobs if jobs is None else int(jobs)
     frameworks = list(frameworks)
     graph_names = list(graph_names)
     kernels = list(kernels)
     modes = list(modes)
     # Lazy: repro.store (and the journal, which needs it) sit above
-    # repro.core in the layering.
+    # repro.core in the layering, and the executor imports this module.
     from ..resilience.journal import CheckpointJournal, campaign_fingerprint
     from ..store.environment import fingerprint
+    from .executor import _CampaignState, _enumerate_cells, _run_pooled
 
     mode_values = [mode.value for mode in modes]
     framework_names = [framework.name for framework in frameworks]
@@ -574,7 +603,7 @@ def run_suite(
         "kernels": kernels,
         "modes": mode_values,
         "frameworks": framework_names,
-        "jobs": effective_jobs,
+        "jobs": spec.jobs,
     }
     if dataset_provenance:
         campaign_meta["datasets"] = dataset_provenance
@@ -590,126 +619,33 @@ def run_suite(
             journal_obj, completed = CheckpointJournal.resume(
                 journal, cell_fingerprint
             )
-            # A journal may hold cells outside this campaign's grid only
-            # if fingerprints matched yet axes changed — impossible by
-            # construction — but filtering keeps the invariant local.
-            grid = {
-                (graph, mode.value, kernel, name)
-                for graph in graph_names
-                for mode in modes
-                for kernel in kernels
-                for name in framework_names
-            }
-            completed = {key: completed[key] for key in completed if key in grid}
         else:
             journal_obj = CheckpointJournal.create(journal, cell_fingerprint)
+
+    state = _CampaignState(
+        _enumerate_cells(frameworks, graph_names, modes, kernels),
+        spec,
+        telemetry if telemetry is not None else Telemetry(),
+        journal_obj,
+        strict,
+        completed,
+    )
     campaign_meta["resilience"] = {
         "retries": spec.retries,
         "breaker_threshold": spec.breaker_threshold,
         "journal": str(journal_obj.path) if journal_obj is not None else None,
-        "resumed_cells": len(completed),
+        "resumed_cells": state.completed_count,
     }
-
     try:
-        if effective_jobs > 1:
-            from .executor import run_suite_parallel
-
-            with graceful_shutdown():
-                results = run_suite_parallel(
-                    frameworks,
-                    graph_names,
-                    kernels=kernels,
-                    modes=modes,
-                    spec=spec,
-                    jobs=effective_jobs,
-                    progress=progress,
-                    telemetry=telemetry,
-                    strict=strict,
-                    cache=cache,
-                    journal=journal_obj,
-                    completed=completed,
-                )
-            campaign_meta["resilience"]["skipped_cells"] = len(results.skipped())
-            results.meta.update(campaign_meta)
-            return results
-
-        tel = telemetry if telemetry is not None else Telemetry()
-        results = ResultSet(meta=campaign_meta)
-        policy = RetryPolicy(retries=spec.retries)
-        breaker = CircuitBreaker(spec.breaker_threshold)
-        from ..errors import TrialTimeoutError
-
         with graceful_shutdown():
-            for graph_name in graph_names:
-                graph_keys = [
-                    (graph_name, mode.value, kernel, name)
-                    for mode in modes
-                    for kernel in kernels
-                    for name in framework_names
-                ]
-                case: GraphCase | None = None
-                if any(key not in completed for key in graph_keys):
-                    # A fully resumed graph is never built — resuming the
-                    # tail of a campaign costs nothing for finished inputs.
-                    case = build_case(graph_name, spec, cache, telemetry=tel)
-                for mode in modes:
-                    for kernel in kernels:
-                        for framework in frameworks:
-                            key = (graph_name, mode.value, kernel, framework.name)
-                            if key in completed:
-                                results.add(completed[key])
-                                continue
-                            if progress is not None:
-                                progress(
-                                    f"{mode.value}/{graph_name}/{kernel}/"
-                                    f"{framework.name}"
-                                )
-                            if breaker.is_open(framework.name, kernel):
-                                reason = breaker.reason(framework.name, kernel)
-                                result = _skipped_result(
-                                    framework.name, kernel, graph_name, mode, reason
-                                )
-                                tel.ingest(
-                                    _skip_span(
-                                        framework.name, kernel, graph_name,
-                                        mode, reason,
-                                    )
-                                )
-                            else:
-                                attempt = 0
-                                while True:
-                                    try:
-                                        result = run_cell(
-                                            framework, kernel, case, mode, spec,
-                                            telemetry=tel, attempt=attempt,
-                                        )
-                                    except TrialTimeoutError as exc:
-                                        if strict:
-                                            raise
-                                        result = _failed_result(
-                                            framework, kernel, case, mode,
-                                            "timeout", exc,
-                                        )
-                                    except Exception as exc:
-                                        if strict:
-                                            raise
-                                        result = _failed_result(
-                                            framework, kernel, case, mode,
-                                            "error", exc,
-                                        )
-                                    if result.ok or not policy.should_retry(
-                                        result.status, result.error, attempt
-                                    ):
-                                        break
-                                    policy.sleep(attempt)
-                                    attempt += 1
-                                result.attempts = attempt + 1
-                                breaker.record(framework.name, kernel, result.ok)
-                            if journal_obj is not None:
-                                journal_obj.record(result)
-                            results.add(result)
-        campaign_meta["resilience"]["skipped_cells"] = len(results.skipped())
-        return results
+            if spec.jobs > 1:
+                _run_pooled(state, frameworks, cache, progress)
+            else:
+                _run_serial(state, frameworks, cache, progress)
     finally:
         if journal_obj is not None:
             journal_obj.close()
+    results = state.result_set()
+    campaign_meta["resilience"]["skipped_cells"] = len(results.skipped())
+    results.meta.update(campaign_meta)
+    return results

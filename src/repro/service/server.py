@@ -631,7 +631,6 @@ class BenchmarkService:
                 kernels=kernels,
                 modes=[Mode(value) for value in modes],
                 spec=spec,
-                jobs=pool.jobs,
                 telemetry=Telemetry(),
                 cache=self.cache,
                 journal=journal,

@@ -64,9 +64,8 @@ def _campaign(jobs, telemetry=None, frameworks=None):
         ["kron", "road"],
         kernels=["bfs", "cc", "tc"],
         modes=[Mode.BASELINE, Mode.OPTIMIZED],
-        spec=SPEC,
+        spec=dataclasses.replace(SPEC, jobs=jobs),
         telemetry=telemetry,
-        jobs=jobs,
     )
 
 
@@ -150,8 +149,7 @@ def test_hung_cell_is_hard_killed_and_campaign_continues():
         ["kron"],
         kernels=["cc"],
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=2,
+        spec=dataclasses.replace(spec, jobs=2),
         telemetry=telemetry,
         kill_grace=0.6,
     )
@@ -179,7 +177,6 @@ def test_strict_parallel_raises_on_failure():
             ["kron"],
             kernels=["tc"],
             modes=[Mode.BASELINE],
-            spec=SPEC,
-            jobs=2,
+            spec=dataclasses.replace(SPEC, jobs=2),
             strict=True,
         )

@@ -34,7 +34,7 @@ from repro.resilience.faults import FaultSpec
 
 ONE_TRIAL = {k: 1 for k in KERNELS}
 
-#: mode name -> (run_suite jobs, extra BenchmarkSpec fields).  The batched
+#: mode name -> (BenchmarkSpec.jobs, extra BenchmarkSpec fields).  The batched
 #: process mode pins an explicit batch size so multi-cell batches form even
 #: at this small campaign size.
 EXEC_MODES = {
@@ -98,8 +98,7 @@ def _run(mode_name, frameworks, kernels, spec_extra, telemetry=None):
         ["kron"],
         kernels=kernels,
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=jobs,
+        spec=dataclasses.replace(spec, jobs=jobs),
         telemetry=telemetry,
     )
 

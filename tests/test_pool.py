@@ -39,7 +39,6 @@ def _campaign(pool, kernels=("bfs",), telemetry=None, **kw):
         kernels=list(kernels),
         modes=[Mode.BASELINE],
         spec=SPEC,
-        jobs=pool.jobs,
         telemetry=telemetry,
         pool=pool,
         **kw,

@@ -12,10 +12,13 @@ Tier-1 guarantees pinned here:
   structured ``skipped`` results;
 * fault injection fires at the exact (cell, attempt) requested, and the
   serial runner survives every fault kind with the right status;
+* retry, verification and resume outcomes are the same whether the
+  campaign executes in-process (``jobs=1``) or on the worker pool;
 * the CLI rejects out-of-range ``--jobs`` / ``--retries`` / ``--timeout``
   with clear argparse errors.
 """
 
+import dataclasses
 import io
 import json
 
@@ -272,28 +275,37 @@ def test_active_plan_merges_spec_and_environment(monkeypatch):
     assert active_plan(spec) == (spec_fault,)
 
 
-# -- serial campaign integration --------------------------------------------
+# -- campaign integration ---------------------------------------------------
 
 
-def _serial_campaign(spec, kernels=("bfs",), graphs=("kron",), telemetry=None, **kw):
+def _campaign(
+    spec, kernels=("bfs",), graphs=("kron",), telemetry=None, jobs=1, **kw
+):
     return run_suite(
         [GAPReference()],
         list(graphs),
         kernels=list(kernels),
         modes=[Mode.BASELINE],
-        spec=spec,
+        spec=dataclasses.replace(spec, jobs=jobs),
         telemetry=telemetry,
         **kw,
     )
 
 
-def test_serial_oom_fault_is_retried_to_success():
+#: Both ways a campaign executes its cells: the in-process walk (1) and a
+#: warm worker pool (2).  Retry, journal and verification outcomes must not
+#: depend on which one ran the cell.
+TOPOLOGIES = pytest.mark.parametrize("jobs", (1, 2))
+
+
+@TOPOLOGIES
+def test_oom_fault_is_retried_to_success(jobs):
     spec = _spec(
         retries=2,
         faults=(FaultSpec(kind="oom", kernel="bfs", attempts=(0, 1)),),
     )
     telemetry = Telemetry()
-    results = _serial_campaign(spec, telemetry=telemetry)
+    results = _campaign(spec, telemetry=telemetry, jobs=jobs)
     (result,) = results
     assert result.ok and result.attempts == 3
     # One span per executed attempt, the last one ok.
@@ -302,20 +314,22 @@ def test_serial_oom_fault_is_retried_to_success():
     assert [s.attributes.get("attempt") for s in cell_spans] == [None, 1, 2]
 
 
-def test_serial_deterministic_error_is_never_retried():
+@TOPOLOGIES
+def test_deterministic_error_is_never_retried(jobs):
     spec = _spec(
         retries=3, faults=(FaultSpec(kind="error", kernel="bfs"),)
     )
-    (result,) = _serial_campaign(spec)
+    (result,) = _campaign(spec, jobs=jobs)
     assert result.status == "error" and result.attempts == 1
     assert "ValueError" in result.error
 
 
-def test_serial_wrong_result_fails_verification_without_retry():
+@TOPOLOGIES
+def test_wrong_result_fails_verification_without_retry(jobs):
     spec = _spec(
         retries=3, faults=(FaultSpec(kind="wrong-result", kernel="bfs"),)
     )
-    (result,) = _serial_campaign(spec)
+    (result,) = _campaign(spec, jobs=jobs)
     assert result.status == "error" and not result.verified
     assert result.attempts == 1  # deterministic: retrying would mask a bug
 
@@ -326,7 +340,7 @@ def test_serial_hang_times_out_and_is_not_retried():
         retries=3,
         faults=(FaultSpec(kind="hang", kernel="bfs"),),
     )
-    (result,) = _serial_campaign(spec)
+    (result,) = _campaign(spec)
     assert result.status == "timeout" and result.attempts == 1
 
 
@@ -334,10 +348,10 @@ def test_serial_cache_corruption_degrades_to_regeneration(tmp_path):
     from repro.graphs import GraphCache
 
     cache = GraphCache(tmp_path)
-    warm = _serial_campaign(_spec(), cache=cache)  # populate the artifact
+    warm = _campaign(_spec(), cache=cache)  # populate the artifact
     assert all(r.ok for r in warm)
     spec = _spec(faults=(FaultSpec(kind="cache-corrupt", graph="kron"),))
-    (result,) = _serial_campaign(spec, cache=cache)
+    (result,) = _campaign(spec, cache=cache)
     assert result.ok  # corruption surfaced as a miss, never a wrong result
 
 
@@ -347,7 +361,7 @@ def test_serial_breaker_skips_remaining_combo_cells():
         faults=(FaultSpec(kind="error", kernel="cc", graph="kron"),),
     )
     telemetry = Telemetry()
-    results = _serial_campaign(
+    results = _campaign(
         spec, kernels=("cc", "bfs"), graphs=("kron", "road"), telemetry=telemetry
     )
     by_key = {r.cell_key: r for r in results}
@@ -361,16 +375,20 @@ def test_serial_breaker_skips_remaining_combo_cells():
     assert len(skip_spans) == 1 and "skip_reason" in skip_spans[0].attributes
 
 
-def test_serial_journal_resume_skips_completed_cells(tmp_path):
+@TOPOLOGIES
+def test_journal_resume_skips_completed_cells(tmp_path, jobs):
     journal = tmp_path / "campaign.jsonl"
     spec = _spec()
-    first = _serial_campaign(spec, kernels=("bfs", "cc"), journal=str(journal))
+    first = _campaign(
+        spec, kernels=("bfs", "cc"), journal=str(journal), jobs=jobs
+    )
     assert len(first) == 2 and first.meta["resilience"]["resumed_cells"] == 0
 
     executed = []
-    resumed = _serial_campaign(
+    resumed = _campaign(
         spec,
         kernels=("bfs", "cc"),
+        jobs=jobs,
         journal=str(journal),
         resume=True,
         progress=executed.append,
@@ -386,7 +404,7 @@ def test_serial_journal_resume_skips_completed_cells(tmp_path):
 def test_run_results_carry_resilience_metadata(tmp_path):
     journal = tmp_path / "j.jsonl"
     spec = _spec(retries=2, breaker_threshold=3)
-    results = _serial_campaign(spec, journal=str(journal))
+    results = _campaign(spec, journal=str(journal))
     meta = results.meta["resilience"]
     assert meta["retries"] == 2
     assert meta["breaker_threshold"] == 3
@@ -397,7 +415,7 @@ def test_archive_manifest_records_resilience_lineage(tmp_path):
     from repro.store import RunArchive
 
     journal = tmp_path / "j.jsonl"
-    results = _serial_campaign(_spec(retries=1), journal=str(journal))
+    results = _campaign(_spec(retries=1), journal=str(journal))
     record = RunArchive(tmp_path / "archive").archive_run(results, spec=_spec())
     assert record.manifest["resilience"]["retries"] == 1
     assert record.manifest["resilience"]["journal"] == str(journal)

@@ -17,6 +17,8 @@ member*, not per dispatch.  Tier-1 guarantees pinned here:
   the resumed run re-executes only the rest.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import BenchmarkSpec, run_suite
@@ -40,8 +42,7 @@ def _campaign(spec, kernels, graphs=("kron",), jobs=2, **kw):
         list(graphs),
         kernels=list(kernels),
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=jobs,
+        spec=dataclasses.replace(spec, jobs=jobs),
         **kw,
     )
 

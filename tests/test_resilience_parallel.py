@@ -15,6 +15,7 @@ Tier-1 guarantees pinned here:
 * no shared-memory segment survives an aborted parallel campaign.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,8 +45,7 @@ def _parallel_campaign(spec, kernels=("bfs",), graphs=("kron",), **kw):
         list(graphs),
         kernels=list(kernels),
         modes=[Mode.BASELINE],
-        spec=spec,
-        jobs=2,
+        spec=dataclasses.replace(spec, jobs=2),
         **kw,
     )
 
@@ -211,8 +211,7 @@ def test_aborted_parallel_campaign_leaves_no_shm_segments():
             ["kron", "road"],
             kernels=["bfs", "cc"],
             modes=[Mode.BASELINE],
-            spec=_spec(),
-            jobs=2,
+            spec=dataclasses.replace(_spec(), jobs=2),
             progress=abort,
         )
     leaked = {
